@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .exactalg import InfiniteValuation, ValuationReport
@@ -41,13 +41,12 @@ from .congruence import (
     CheckReport,
     CheckStatus,
     Conjecture,
-    Lemma3Truncation,
     Modulus,
-    check_congruence,
     check_conjecture,
     check_lemma3,
     check_lemma4,
     check_mod_square,
+    check_sum,
     check_theorem,
     enumerate_cases,
     q_integer_modulus,
@@ -61,29 +60,9 @@ EXIT_ERROR = 2
 SWEEP_D_MAX = 9
 SWEEP_N_MAX = 40
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: everything needed to reproduce a report.
-
-    The seed and sweep bounds are echoed into the report header; the
-    parallelism degree and output path deliberately are not, since output
-    bytes must not depend on them.
-    """
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    bounds: dict = field(default_factory=dict)
-    seed: int | None = None
-    jobs: int = 1
-    output: str | None = None
-
-    def header_record(self) -> dict:
-        rec = {"command": self.command}
-        rec.update(self.parameters)
-        rec.update(self.bounds)
-        rec["seed"] = self.seed
-        return rec
+# verify kinds that accept --power and --oracle
+POWER_KINDS = ("thm1", "thm2")
+ORACLE_KINDS = ("thm1", "thm2", "conj1", "conj2", "conj3", "lemma3")
 
 
 def _json_valuation(v) -> object:
@@ -146,39 +125,32 @@ def _status_exit(status: CheckStatus) -> int:
 
 def _verify_report(args) -> tuple[CheckReport, dict]:
     kind = args.kind
-    trunc = Truncation.FULL if args.trunc == "full" else Truncation.UPPER
+    trunc = Truncation(args.trunc)
     if kind in ("thm1", "thm2"):
-        variant = Variant.THM1 if kind == "thm1" else Variant.THM2
-        case = TheoremCase(args.d, args.r, args.n, variant, trunc)
-        report = check_theorem(case, oracle=args.oracle)
-        if args.power is not None:
-            mod = q_integer_modulus(case.n, args.power)
-            report = check_congruence(theorem_sum(case), mod, case.describe(),
-                                      term_count=case.upper_bound + 1)
+        case = TheoremCase(args.d, args.r, args.n, Variant(kind), trunc)
+        if args.power is None:
+            return check_theorem(case, oracle=args.oracle), _case_fields(case)
+        mod = q_integer_modulus(case.n, args.power)
+        report = check_sum(lambda: theorem_sum(case), mod, case.describe(),
+                           case.upper_bound + 1, args.oracle)
         return report, _case_fields(case)
     if kind in ("conj1", "conj2", "conj3"):
-        which = Conjecture(kind)
         r = args.r if args.r is not None else (1 if kind == "conj1" else -1)
-        if kind in ("conj1", "conj2"):
-            variant = (Variant.THM1 if args.n % args.d == (-r) % args.d
-                       else Variant.THM2)
+        if kind != "conj3" and args.d >= 1 and args.n % args.d == (-r) % args.d:
+            variant = Variant.THM1
         else:
             variant = Variant.THM2
         case = TheoremCase(args.d, r, args.n, variant, trunc)
-        return check_conjecture(case, which, oracle=args.oracle), _case_fields(case)
+        return check_conjecture(case, Conjecture(kind), oracle=args.oracle), _case_fields(case)
     if kind == "lemma3":
-        lt = Lemma3Truncation.FULL if args.trunc == "full" else Lemma3Truncation.M_SOLVED
-        report = check_lemma3(args.d, args.r, args.n, lt, oracle=args.oracle)
+        report = check_lemma3(args.d, args.r, args.n, trunc, oracle=args.oracle)
         return report, {"d": args.d, "r": args.r, "n": args.n, "trunc": args.trunc}
     if kind == "lemma4":
         ok = check_lemma4(args.d, args.r, args.n)
-        report = CheckReport(
-            description=f"lemma4(d={args.d}, r={args.r}, n={args.n})",
-            modulus=Modulus({}),
-            valuations=ValuationReport({}, {}, ok),
-            status=CheckStatus.PASS if ok else CheckStatus.FAIL,
-            term_count=(args.d * args.n - 2 * args.n - args.r) // args.d,
-        )
+        report = CheckReport.verdict(
+            f"lemma4(d={args.d}, r={args.r}, n={args.n})", Modulus({}),
+            ValuationReport({}, {}, ok),
+            (args.d * args.n - 2 * args.n - args.r) // args.d)
         return report, {"d": args.d, "r": args.r, "n": args.n}
     if kind == "modsquare":
         report = check_mod_square(args.alpha, args.r, args.n, args.d, args.k_max)
@@ -191,12 +163,7 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report, fields = _verify_report(args)
-    except InvalidCase as exc:
-        for msg in exc.violations:
-            print(f"hypothesis violated: {msg}", file=sys.stderr)
-        return EXIT_ERROR
+    report, fields = _verify_report(args)
     rec = _report_record(f"verify {args.kind}", fields, report, args.seed)
     _emit([json.dumps(rec)], args.output)
     print(f"{report.description or args.kind}: {report.status.value} "
@@ -222,7 +189,7 @@ def _identity_trial(kind: str, rng: random.Random, m: int, order: int | None):
         return sample_until_valid(
             rng,
             lambda rg: draw_watson_exponents(rg, N=order),
-            lambda t: watson_pair(*t)[0] == watson_pair(*t)[1],
+            lambda t: operator.eq(*watson_pair(*t)),
         )
     if kind == "gasper-km":
         return sample_until_valid(
@@ -281,27 +248,20 @@ def _sweep_worker(job) -> dict:
     kind, case, oracle, seed = job
     if kind in ("thm1", "thm2"):
         report = check_theorem(case, oracle=oracle)
-        command = f"sweep {kind}"
     else:
         report = check_conjecture(case, Conjecture(kind), oracle=oracle)
-        command = f"sweep {kind}"
-    return _report_record(command, _case_fields(case), report, seed)
+    return _report_record(f"sweep {kind}", _case_fields(case), report, seed)
 
 
 def _sweep_cases(kind: str, d_max: int, n_max: int,
                  r_range: tuple[int, int]) -> list[TheoremCase]:
-    if kind == "thm1":
-        return enumerate_cases(Variant.THM1, d_max, n_max, r_range)
-    if kind == "thm2":
-        return enumerate_cases(Variant.THM2, d_max, n_max, r_range)
-    if kind == "conj1":
-        pool = enumerate_cases(Variant.THM1, d_max, n_max, (1, 1)) + \
-            enumerate_cases(Variant.THM2, d_max, n_max, (1, 1))
-        pool = [c for c in pool if c.truncation is Truncation.FULL]
-    elif kind == "conj2":
-        pool = enumerate_cases(Variant.THM1, d_max, n_max, (-1, -1)) + \
-            enumerate_cases(Variant.THM2, d_max, n_max, (-1, -1))
-        pool = [c for c in pool if c.truncation is Truncation.FULL]
+    if kind in ("thm1", "thm2"):
+        return enumerate_cases(Variant(kind), d_max, n_max, r_range)
+    if kind in ("conj1", "conj2"):
+        r = 1 if kind == "conj1" else -1
+        pool = [c for variant in Variant
+                for c in enumerate_cases(variant, d_max, n_max, (r, r))
+                if c.truncation is Truncation.FULL]
     elif kind == "conj3":
         pool = enumerate_cases(Variant.THM2, d_max, n_max, r_range)
     else:
@@ -318,17 +278,12 @@ def cmd_sweep(args) -> int:
         return EXIT_ERROR
     r_range = (args.r_min, args.r_max)
     cases = _sweep_cases(kind, args.d_max, args.n_max, r_range)
-    config = RunConfig(
-        command=f"sweep {kind}",
-        parameters={},
-        bounds={"d_max": args.d_max, "n_max": args.n_max,
-                "r_min": r_range[0], "r_max": r_range[1],
-                "cases": len(cases)},
-        seed=args.seed,
-        jobs=args.jobs,
-        output=args.output,
-    )
-    header = json.dumps(config.header_record())
+    # the header echoes the grid and seed, never --jobs or --output, so
+    # output bytes do not depend on them
+    header = json.dumps({"command": f"sweep {kind}",
+                         "d_max": args.d_max, "n_max": args.n_max,
+                         "r_min": r_range[0], "r_max": r_range[1],
+                         "cases": len(cases), "seed": args.seed})
     jobs = [(kind, case, args.oracle, args.seed) for case in cases]
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
@@ -427,6 +382,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         for name in required.get(args.kind, ()):
             if getattr(args, name) is None:
                 parser.error(f"verify {args.kind} requires --{name}")
+        if args.power is not None and args.kind not in POWER_KINDS:
+            parser.error(f"--power does not apply to verify {args.kind}")
+        if args.oracle and args.kind not in ORACLE_KINDS:
+            parser.error(f"--oracle does not apply to verify {args.kind}")
     try:
         return args.func(args)
     except InvalidCase as exc:

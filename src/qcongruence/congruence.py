@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .exactalg import (
     INFINITE,
@@ -50,6 +50,7 @@ __all__ = [
     "check_lemma3",
     "check_lemma4",
     "check_mod_square",
+    "check_sum",
     "check_theorem",
     "enumerate_cases",
     "legacy_check",
@@ -73,9 +74,9 @@ class Conjecture(Enum):
     CONJ3 = "conj3"
 
 
-class Lemma3Truncation(Enum):
-    M_SOLVED = "upper"
-    FULL = "full"
+Lemma3Truncation = Truncation
+# a validated parameter tuple, or InvalidCase naming every violated hypothesis
+validate_case = TheoremCase
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,13 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status is CheckStatus.PASS
 
+    @classmethod
+    def verdict(cls, description: str, modulus: Modulus,
+                valuations: ValuationReport, term_count: int) -> "CheckReport":
+        """PASS or FAIL as the valuations meet their requirements or not."""
+        status = CheckStatus.PASS if valuations.passed else CheckStatus.FAIL
+        return cls(description, modulus, valuations, status, term_count)
+
 
 def check_congruence(
     f: Union[RatFunc, Poly, int],
@@ -145,58 +153,40 @@ def check_congruence(
     valuation means the reduced denominator is not invertible at that
     cyclotomic, which makes the congruence meaningless: ERROR, not FAIL.
     """
-    achieved: dict[int, Valuation] = {}
-    detail = None
-    status = CheckStatus.PASS
-    for m in sorted(mod.parts):
-        v = phi_valuation(f, m)
-        achieved[m] = v
-        if isinstance(v, int) and v < 0:
-            status = CheckStatus.ERROR
-            detail = f"denominator not invertible at cyclotomic index {m}"
-    report = ValuationReport.compare(achieved, mod.parts)
-    if status is not CheckStatus.ERROR:
-        status = CheckStatus.PASS if report.passed else CheckStatus.FAIL
-    return CheckReport(
-        description=description,
-        modulus=mod,
-        valuations=report,
-        status=status,
-        term_count=term_count,
-        detail=detail,
-    )
+    achieved = {m: phi_valuation(f, m) for m in sorted(mod.parts)}
+    report = CheckReport.verdict(description, mod,
+                                 ValuationReport.compare(achieved, mod.parts), term_count)
+    poles = [m for m, v in achieved.items() if isinstance(v, int) and v < 0]
+    if poles:
+        report.status = CheckStatus.ERROR
+        report.detail = f"denominator not invertible at cyclotomic index {poles[-1]}"
+    return report
 
 
-def validate_case(
-    d: int, r: int, n: int, variant: Variant, truncation: Truncation
-) -> TheoremCase:
-    """A validated parameter tuple, or InvalidCase naming every violated
-    hypothesis."""
-    return TheoremCase(d, r, n, variant, truncation)
+def _elapsed_ms(start: float) -> float:
+    return (time.perf_counter() - start) * 1000.0
 
 
-def _timed(fn):
+def check_sum(total: Callable[[], RatFunc], mod: Modulus, description: str,
+              term_count: int, oracle: bool = False) -> CheckReport:
+    """The check pipeline shared by every truncated-sum checker: compute
+    ``total()``, compare it against the modulus profile, time both steps,
+    and add the brute-force oracle verdict when asked."""
     start = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - start) * 1000.0
+    s = total()
+    report = check_congruence(s, mod, description, term_count)
+    report.elapsed_ms = _elapsed_ms(start)
+    if oracle:
+        report.oracle_status = oracle_check(s, mod)
+    return report
 
 
 def check_theorem(case: TheoremCase, oracle: bool = False) -> CheckReport:
     """Check the case's sum against its stated modulus profile:
     [n]*Phi_n**2 for the first family, [n]*Phi_n for the second."""
     power = 2 if case.variant is Variant.THM1 else 1
-    mod = q_integer_modulus(case.n, power)
-    (s, report), ms = _timed(lambda: _sum_and_check(case, mod))
-    report.elapsed_ms = ms
-    if oracle:
-        report.oracle_status = oracle_check(s, mod)
-    return report
-
-
-def _sum_and_check(case: TheoremCase, mod: Modulus) -> tuple[RatFunc, CheckReport]:
-    s = theorem_sum(case)
-    report = check_congruence(s, mod, case.describe(), term_count=case.upper_bound + 1)
-    return s, report
+    return check_sum(lambda: theorem_sum(case), q_integer_modulus(case.n, power),
+                     case.describe(), case.upper_bound + 1, oracle)
 
 
 def check_conjecture(case: TheoremCase, which: Conjecture,
@@ -217,34 +207,19 @@ def check_conjecture(case: TheoremCase, which: Conjecture,
         mod = q_integer_modulus(case.n, 3)
     else:
         mod = phi_modulus(case.n, 3 if case.variant is Variant.THM1 else 4)
-    (s, report), ms = _timed(lambda: _sum_and_check_mod(case, mod, which))
-    report.elapsed_ms = ms
-    if oracle:
-        report.oracle_status = oracle_check(s, mod)
-    return report
-
-
-def _sum_and_check_mod(case: TheoremCase, mod: Modulus, which: Conjecture):
-    s = theorem_sum(case)
-    desc = f"{which.value} {case.describe()}"
-    return s, check_congruence(s, mod, desc, term_count=case.upper_bound + 1)
+    return check_sum(lambda: theorem_sum(case), mod, f"{which.value} {case.describe()}",
+                     case.upper_bound + 1, oracle)
 
 
 def legacy_check(d: int, r: int, n: int, phi_power: int) -> CheckReport:
     """Check the full sum (k = 0..n-1) for any odd d >= 3 against a bare
     Phi_n**power profile; used for the d = 3 regression families."""
-    mod = phi_modulus(n, phi_power)
-    def run():
-        s = truncated_sum(d, r, n - 1)
-        desc = f"legacy(d={d}, r={r}, n={n}) mod Phi_{n}^{phi_power}"
-        return check_congruence(s, mod, desc, term_count=n)
-    report, ms = _timed(run)
-    report.elapsed_ms = ms
-    return report
+    return check_sum(lambda: truncated_sum(d, r, n - 1), phi_modulus(n, phi_power),
+                     f"legacy(d={d}, r={r}, n={n}) mod Phi_{n}^{phi_power}", n)
 
 
 def check_lemma3(d: int, r: int, n: int,
-                 truncation: Lemma3Truncation = Lemma3Truncation.M_SOLVED,
+                 truncation: Truncation = Truncation.M_SOLVED,
                  oracle: bool = False) -> CheckReport:
     """Check the truncated sum against the bare [n] profile.
 
@@ -263,18 +238,10 @@ def check_lemma3(d: int, r: int, n: int,
     if bad:
         raise InvalidCase(bad)
     m_solved = (-r * pow(d, -1, n)) % n if n > 1 else 0
-    upper = m_solved if truncation is Lemma3Truncation.M_SOLVED else max(n - 1, 0)
+    upper = m_solved if truncation is Truncation.M_SOLVED else max(n - 1, 0)
     mod = q_integer_modulus(n, 0) if n > 1 else Modulus({})
-    def run():
-        s = truncated_sum(d, r, upper)
-        desc = f"lemma3(d={d}, r={r}, n={n}, m={upper})"
-        rep = check_congruence(s, mod, desc, term_count=upper + 1)
-        return s, rep
-    (s, report), ms = _timed(run)
-    report.elapsed_ms = ms
-    if oracle:
-        report.oracle_status = oracle_check(s, report.modulus)
-    return report
+    return check_sum(lambda: truncated_sum(d, r, upper), mod,
+                     f"lemma3(d={d}, r={r}, n={n}, m={upper})", upper + 1, oracle)
 
 
 def check_lemma4(d: int, r: int, n: int) -> bool:
@@ -311,24 +278,22 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         raise InvalidCase(["k_max must be non-negative"])
     if d < 1:
         raise InvalidCase(["d must be a positive integer"])
+    start = time.perf_counter()
     mod = phi_modulus(n, 2)
-    def run():
-        worst: Valuation = INFINITE
-        for k in range(k_max + 1):
-            lhs = q_poch_product([
-                (QPochSpec(r - alpha * n, d, k), 1),
-                (QPochSpec(r + alpha * n, d, k), 1),
-            ])
-            rhs = q_poch_product([(QPochSpec(r, d, k), 2)])
-            v = phi_valuation(lhs - rhs, n)
-            if v < worst:
-                worst = v
-        desc = f"modsquare(alpha={alpha}, r={r}, n={n}, d={d}, k_max={k_max})"
-        report = ValuationReport.compare({n: worst}, mod.parts)
-        status = CheckStatus.PASS if report.passed else CheckStatus.FAIL
-        return CheckReport(desc, mod, report, status, term_count=k_max + 1)
-    report, ms = _timed(run)
-    report.elapsed_ms = ms
+    worst: Valuation = INFINITE
+    for k in range(k_max + 1):
+        lhs = q_poch_product([
+            (QPochSpec(r - alpha * n, d, k), 1),
+            (QPochSpec(r + alpha * n, d, k), 1),
+        ])
+        rhs = q_poch_product([(QPochSpec(r, d, k), 2)])
+        v = phi_valuation(lhs - rhs, n)
+        if v < worst:
+            worst = v
+    report = CheckReport.verdict(
+        f"modsquare(alpha={alpha}, r={r}, n={n}, d={d}, k_max={k_max})",
+        mod, ValuationReport.compare({n: worst}, mod.parts), k_max + 1)
+    report.elapsed_ms = _elapsed_ms(start)
     return report
 
 
@@ -337,23 +302,20 @@ def van_hamme_check(p: int) -> CheckReport:
     (mod p^4), over exact rationals, for primes p > 3."""
     if p <= 3 or any(p % k == 0 for k in range(2, int(math.isqrt(p)) + 1)):
         raise InvalidCase([f"p = {p} must be a prime greater than 3"])
-    def run():
-        half = Fraction(1, 2)
-        total = Fraction(0)
-        fact = Fraction(1)
-        for k in range((p - 1) // 2 + 1):
-            if k:
-                fact *= k
-            total += (6 * k + 1) * rising_factorial(half, k) ** 3 / (fact ** 3 * Fraction(4) ** k)
-        target = p * (-1) ** ((p - 1) // 2)
-        v = rational_p_valuation(total - target, p)
-        mod = Modulus({p: 4})
-        report = ValuationReport.compare({p: v}, mod.parts)
-        status = CheckStatus.PASS if report.passed else CheckStatus.FAIL
-        desc = f"vanhamme(p={p})"
-        return CheckReport(desc, mod, report, status, term_count=(p - 1) // 2 + 1)
-    report, ms = _timed(run)
-    report.elapsed_ms = ms
+    start = time.perf_counter()
+    half = Fraction(1, 2)
+    total = Fraction(0)
+    fact = Fraction(1)
+    for k in range((p - 1) // 2 + 1):
+        if k:
+            fact *= k
+        total += (6 * k + 1) * rising_factorial(half, k) ** 3 / (fact ** 3 * Fraction(4) ** k)
+    target = p * (-1) ** ((p - 1) // 2)
+    v = rational_p_valuation(total - target, p)
+    mod = Modulus({p: 4})
+    report = CheckReport.verdict(f"vanhamme(p={p})", mod,
+                                 ValuationReport.compare({p: v}, mod.parts), (p - 1) // 2 + 1)
+    report.elapsed_ms = _elapsed_ms(start)
     return report
 
 
@@ -386,9 +348,11 @@ def oracle_check(f: Union[RatFunc, Poly, int], mod: Modulus) -> CheckStatus:
     """Brute-force verdict: clear denominators and test one exact
     polynomial division by the full modulus product.
 
-    Independent of the valuation-counting route: a single divmod of the
-    reduced numerator by prod Phi_m**required decides divisibility, and
-    per-factor divisibility of the denominator decides invertibility.
+    A single divmod of the numerator by prod Phi_m**required decides
+    divisibility, and per-factor divisibility of the denominator decides
+    invertibility.  This replaces valuation counting with one division,
+    but f is the canonical fraction that ``qsum`` produced, so the oracle
+    checks the valuation count and not the summation itself.
     """
     if isinstance(f, (Poly, int)):
         f = RatFunc(f)

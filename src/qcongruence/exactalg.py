@@ -564,9 +564,7 @@ def _as_ratfunc(x: Union[RatFunc, Poly, int]) -> RatFunc:
     return RatFunc(_as_poly(x))
 
 
-def ratfunc_normalize(num: Union[Poly, int], den: Union[Poly, int]) -> RatFunc:
-    """Canonical fraction num/den; rejects a zero denominator."""
-    return RatFunc(num, den)
+ratfunc_normalize = RatFunc
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +611,9 @@ INFINITE = InfiniteValuation()
 Valuation = Union[int, InfiniteValuation]
 
 
-def _poly_phi_valuation(p: Poly, phi: Poly, cap: int | None = None) -> int:
-    """Multiplicity of the monic factor phi in p (p != 0)."""
+def _divide_out(p: Poly, phi: Poly, cap: int | None = None) -> tuple[int, Poly]:
+    """Divide the monic factor phi out of p (p != 0) as often as it goes,
+    at most cap times: (multiplicity, cofactor)."""
     count = 0
     probe = phi.evaluate(2)
     use_probe = probe not in (-1, 0, 1)
@@ -628,7 +627,12 @@ def _poly_phi_valuation(p: Poly, phi: Poly, cap: int | None = None) -> int:
         count += 1
         if p.is_zero:
             break
-    return count
+    return count, p
+
+
+def _poly_phi_valuation(p: Poly, phi: Poly, cap: int | None = None) -> int:
+    """Multiplicity of the monic factor phi in p (p != 0)."""
+    return _divide_out(p, phi, cap)[0]
 
 
 def phi_valuation(f: Union[RatFunc, Poly, int], m: int) -> Valuation:

@@ -64,6 +64,7 @@ class Variant(Enum):
 class Truncation(Enum):
     UPPER = "upper"
     FULL = "full"
+    M_SOLVED = "upper"   # alias of UPPER: lemma 3's solved truncation
 
 
 class InvalidCase(ValueError):

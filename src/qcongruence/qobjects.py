@@ -21,13 +21,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .exactalg import (
-    ONE,
     Poly,
     RATFUNC_ZERO,
     RatFunc,
     cyclotomic,
     divisors,
-    _poly_phi_valuation,
+    _divide_out,
 )
 
 __all__ = [
@@ -236,12 +235,9 @@ def qsum(products: Iterable[QProduct]) -> RatFunc:
             den_cyc[c] = den_cyc.get(c, 0) + m
     cancelled: dict[int, int] = {}
     for c in sorted(den_cyc):
-        v = _poly_phi_valuation(num, cyclotomic(c), cap=den_cyc[c])
+        v, num = _divide_out(num, cyclotomic(c), cap=den_cyc[c])
         if v:
             cancelled[c] = v
-            phi = cyclotomic(c)
-            for _ in range(v):
-                num = num.divmod_monic(phi)[0]
     low, num = num.split_monomial()
     qstrip = min(low, qden)
     if low > qstrip:

@@ -143,3 +143,75 @@ def test_sweep_conjecture_mode_informational():
 def test_sweep_bounds_guard():
     proc = run_cli("sweep", "--theorem", "thm1", "--d-max", "11", "--n-max", "10")
     assert proc.returncode == 2
+
+
+def test_verify_power_keeps_oracle_and_timing():
+    proc = run_cli("verify", "thm1", "--d", "5", "--r", "1", "--n", "4",
+                   "--power", "3", "--oracle")
+    rec = json.loads(proc.stdout)
+    assert rec["modulus"] == {"2": 1, "4": 4}
+    assert rec["oracle"] == "FAIL"
+    assert proc.returncode == 1
+    assert "(0 ms)" not in proc.stderr
+
+
+def test_identity_watson_evaluates_each_trial_once(monkeypatch, capsys):
+    from qcongruence import cli
+
+    calls = []
+    real = cli.watson_pair
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "watson_pair", counting)
+    assert cli.main(["identity", "watson", "--trials", "3", "--seed", "5"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(records) == 3
+    assert len(calls) == 3 + sum(r["resamples"] for r in records)
+
+
+# flags that do not apply to a verify kind are usage errors, not no-ops
+FLAG_MISUSE = [
+    ("verify", "conj1", "--d", "5", "--n", "9", "--trunc", "full", "--power", "7"),
+    ("verify", "lemma3", "--d", "5", "--r", "1", "--n", "4", "--power", "1"),
+    ("verify", "vanhamme", "--p", "5", "--power", "2"),
+    ("verify", "lemma4", "--d", "5", "--r", "1", "--n", "7", "--oracle"),
+    ("verify", "modsquare", "--alpha", "1", "--r", "1", "--n", "7", "--d", "5", "--oracle"),
+    ("verify", "vanhamme", "--p", "5", "--oracle"),
+]
+
+
+@pytest.mark.parametrize("args", FLAG_MISUSE, ids=[" ".join(a) for a in FLAG_MISUSE])
+def test_verify_flag_misuse_is_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    flag = "--power" if "--power" in args else "--oracle"
+    assert flag in proc.stderr and args[1] in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_conjecture_zero_d_names_hypothesis():
+    proc = run_cli("verify", "conj1", "--d", "0", "--n", "9")
+    assert proc.returncode == 2
+    assert "hypothesis violated: d must be an odd integer >= 5" in proc.stderr
+    assert "error:" not in proc.stderr
+
+
+def test_verify_bad_power_fails_before_summing(monkeypatch, capsys):
+    from qcongruence import cli, hypergeom
+
+    sums = []
+    real = hypergeom.truncated_sum
+
+    def counting(*args):
+        sums.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hypergeom, "truncated_sum", counting)
+    code = cli.main(["verify", "thm1", "--d", "5", "--r", "1", "--n", "4",
+                     "--power", "-5"])
+    assert code == 2
+    assert sums == []
+    assert "error:" in capsys.readouterr().err
