@@ -386,6 +386,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"--power does not apply to verify {args.kind}")
         if args.oracle and args.kind not in ORACLE_KINDS:
             parser.error(f"--oracle does not apply to verify {args.kind}")
+    if args.command == "identity" and args.trials < 1:
+        parser.error("--trials must be at least 1")
+    if args.output:
+        # fail before any sum, not after the whole run
+        try:
+            with open(args.output, "a"):
+                pass
+        except OSError as exc:
+            print(f"error: cannot write --output: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     try:
         return args.func(args)
     except InvalidCase as exc:

@@ -5,8 +5,9 @@ A modulus like [n] * Phi_n(q)**k is a finite valuation profile: since
 [n] factors as the product of Phi_m over the divisors m > 1 of n, the
 requirement is valuation k+1 at index n and valuation 1 at every other
 divisor index.  ``check_congruence`` compares achieved valuations of an
-exact rational function against such a profile; a denominator that is not
-invertible at a required index is an ERROR, distinct from FAIL.
+exact sum (a ``FactoredFraction`` as ``qsum`` leaves it, or any rational
+function) against such a profile; a denominator that is not invertible at
+a required index is an ERROR, distinct from FAIL.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Union
 
 from .exactalg import (
     INFINITE,
+    FactoredFraction,
     Poly,
     RatFunc,
     ValuationReport,
@@ -142,7 +144,7 @@ class CheckReport:
 
 
 def check_congruence(
-    f: Union[RatFunc, Poly, int],
+    f: Union[FactoredFraction, RatFunc, Poly, int],
     mod: Modulus,
     description: str = "",
     term_count: int = 0,
@@ -150,8 +152,9 @@ def check_congruence(
     """Compare achieved valuations of f against the modulus profile.
 
     f = 0 passes trivially with infinite valuations.  A negative achieved
-    valuation means the reduced denominator is not invertible at that
-    cyclotomic, which makes the congruence meaningless: ERROR, not FAIL.
+    valuation means the denominator of f in lowest terms is not invertible
+    at that cyclotomic, which makes the congruence meaningless: ERROR, not
+    FAIL.
     """
     achieved = {m: phi_valuation(f, m) for m in sorted(mod.parts)}
     report = CheckReport.verdict(description, mod,
@@ -167,7 +170,7 @@ def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def check_sum(total: Callable[[], RatFunc], mod: Modulus, description: str,
+def check_sum(total: Callable[[], FactoredFraction], mod: Modulus, description: str,
               term_count: int, oracle: bool = False) -> CheckReport:
     """The check pipeline shared by every truncated-sum checker: compute
     ``total()``, compare it against the modulus profile, time both steps,
@@ -344,16 +347,32 @@ def enumerate_cases(
     return out
 
 
-def oracle_check(f: Union[RatFunc, Poly, int], mod: Modulus) -> CheckStatus:
-    """Brute-force verdict: clear denominators and test one exact
-    polynomial division by the full modulus product.
+def oracle_check(f: Union[FactoredFraction, RatFunc, Poly, int], mod: Modulus) -> CheckStatus:
+    """Brute-force verdict by exact divisibility, without counting
+    valuations.
 
-    A single divmod of the numerator by prod Phi_m**required decides
-    divisibility, and per-factor divisibility of the denominator decides
-    invertibility.  This replaces valuation counting with one division,
-    but f is the canonical fraction that ``qsum`` produced, so the oracle
-    checks the valuation count and not the summation itself.
+    For a ``FactoredFraction`` with e_m factors Phi_m in its denominator,
+    one division per required index m decides whether Phi_m**(k_m + e_m)
+    divides the numerator; where it does not, a second division by
+    Phi_m**e_m tells a pole (ERROR, which wins over FAIL) from a shortfall
+    (FAIL).  Any other f is made canonical: a required Phi_m dividing the
+    denominator is an ERROR, and one division of the numerator by the
+    full modulus product decides PASS or FAIL.  Either way the oracle
+    divides the numerator that ``qsum`` expanded, so it checks the
+    valuation count, not the summation itself.
     """
+    if isinstance(f, FactoredFraction):
+        if f.is_zero:
+            return CheckStatus.PASS
+        status = CheckStatus.PASS
+        for m, need in sorted(mod.parts.items()):
+            phi, e = cyclotomic(m), f.den_multiplicity(m)
+            if f.num.divmod_monic(phi ** (need + e))[1].is_zero:
+                continue
+            if e and not f.num.divmod_monic(phi ** e)[1].is_zero:
+                return CheckStatus.ERROR
+            status = CheckStatus.FAIL
+        return status
     if isinstance(f, (Poly, int)):
         f = RatFunc(f)
     if f.is_zero:

@@ -6,10 +6,14 @@ Conventions used everywhere in this package:
 * ``Poly`` stores dense integer coefficients, constant term first, with no
   trailing zeros; the zero polynomial is the empty tuple.  Coefficients are
   Python ints, so nothing ever overflows or rounds.
-* ``RatFunc`` is the universal value type for q-expressions (it absorbs
+* ``RatFunc`` is the canonical value type for q-expressions (it absorbs
   negative powers of q).  It is always canonical: gcd(num, den) = 1, the
   denominator is non-zero with positive leading coefficient, and zero is
   represented as 0/1.
+* ``FactoredFraction`` is a sum as the summation kernel leaves it: an
+  expanded numerator over q**qshift * prod (q**a - 1)**mult.  Cyclotomic
+  valuations are read off it without reducing; ``to_ratfunc`` builds the
+  canonical form when a caller needs it.
 * Values are immutable after construction and may be shared freely between
   threads.  The only shared state is the memo table behind ``cyclotomic``
   and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
@@ -25,6 +29,7 @@ from typing import Iterable, Union
 
 __all__ = [
     "ExactDivisionError",
+    "FactoredFraction",
     "InfiniteValuation",
     "INFINITE",
     "Poly",
@@ -467,8 +472,8 @@ class RatFunc:
         return not self.num.is_zero
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Poly)):
-            other = RatFunc(other)
+        if isinstance(other, (int, Poly, FactoredFraction)):
+            other = _as_ratfunc(other)
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
         return NotImplemented
@@ -558,9 +563,11 @@ RATFUNC_ZERO = RatFunc._from_canonical(ZERO, ONE)
 RATFUNC_ONE = RatFunc._from_canonical(ONE, ONE)
 
 
-def _as_ratfunc(x: Union[RatFunc, Poly, int]) -> RatFunc:
+def _as_ratfunc(x: Union[RatFunc, "FactoredFraction", Poly, int]) -> RatFunc:
     if isinstance(x, RatFunc):
         return x
+    if isinstance(x, FactoredFraction):
+        return x.to_ratfunc()
     return RatFunc(_as_poly(x))
 
 
@@ -618,7 +625,8 @@ def _divide_out(p: Poly, phi: Poly, cap: int | None = None) -> tuple[int, Poly]:
     probe = phi.evaluate(2)
     use_probe = probe not in (-1, 0, 1)
     while cap is None or count < cap:
-        if use_probe and p.evaluate(2) % probe:
+        # phi | p implies phi(2) | p(2): a cheap exact filter, by Horner mod phi(2)
+        if use_probe and _residue_at_2(p, probe):
             break
         quot, rem = p.divmod_monic(phi)
         if not rem.is_zero:
@@ -630,12 +638,20 @@ def _divide_out(p: Poly, phi: Poly, cap: int | None = None) -> tuple[int, Poly]:
     return count, p
 
 
+def _residue_at_2(p: Poly, modulus: int) -> int:
+    """p(2) mod modulus, without forming the bigint p(2)."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = (2 * acc + c) % modulus
+    return acc
+
+
 def _poly_phi_valuation(p: Poly, phi: Poly, cap: int | None = None) -> int:
     """Multiplicity of the monic factor phi in p (p != 0)."""
     return _divide_out(p, phi, cap)[0]
 
 
-def phi_valuation(f: Union[RatFunc, Poly, int], m: int) -> Valuation:
+def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> Valuation:
     """Exponent of the m-th cyclotomic polynomial in f.
 
     Negative when the factor lives in the denominator; INFINITE for f = 0
@@ -643,11 +659,136 @@ def phi_valuation(f: Union[RatFunc, Poly, int], m: int) -> Valuation:
     """
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
+    if isinstance(f, FactoredFraction):
+        return f.valuation(m)
     f = _as_ratfunc(f)
     if f.is_zero:
         return INFINITE
     phi = cyclotomic(m)
     return _poly_phi_valuation(f.num, phi) - _poly_phi_valuation(f.den, phi)
+
+
+# ---------------------------------------------------------------------------
+# Factored fractions
+
+
+def _mul_binomial(cs: list[int], a: int) -> list[int]:
+    """Multiply a coefficient list by (q**a - 1)."""
+    n = len(cs)
+    if a >= n:
+        return [-c for c in cs] + [0] * (a - n) + cs
+    head = [-c for c in cs[:a]]
+    mid = [x - y for x, y in zip(cs, cs[a:])]
+    tail = list(cs[n - a:])
+    return head + mid + tail
+
+
+def _expand_factors(factors: dict[int, int], sign: int = 1) -> list[int]:
+    """Coefficients of sign * prod (q**a - 1)**mult, all mult >= 0."""
+    cs = [sign]
+    for a in sorted(factors):
+        for _ in range(factors[a]):
+            cs = _mul_binomial(cs, a)
+    return cs
+
+
+class FactoredFraction:
+    """num / (q**qshift * prod (q**a - 1)**mult), with every a, mult >= 1.
+
+    The numerator is expanded and the denominator is kept as its factor
+    map, unreduced.  Phi_m divides q**a - 1 exactly once when m | a, and
+    never divides q, so the denominator's Phi_m multiplicity is the sum of
+    mult over the a that m divides; the valuation at m costs divisions of
+    the numerator by Phi_m alone.  ``to_ratfunc`` reduces to the canonical
+    RatFunc; equality and arithmetic go through it.
+    """
+
+    __slots__ = ("num", "factors", "qshift")
+
+    def __init__(self, num: Poly, factors: dict[int, int], qshift: int):
+        self.num = num
+        self.factors = factors
+        self.qshift = qshift
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
+    def den_multiplicity(self, m: int) -> int:
+        """Exponent of Phi_m in the (unreduced) denominator."""
+        return sum(mult for a, mult in self.factors.items() if a % m == 0)
+
+    def valuation(self, m: int) -> Valuation:
+        """Exponent of Phi_m in the value; INFINITE for zero."""
+        phi = cyclotomic(m)
+        if self.num.is_zero:
+            return INFINITE
+        return _poly_phi_valuation(self.num, phi) - self.den_multiplicity(m)
+
+    def to_ratfunc(self) -> RatFunc:
+        """The canonical RatFunc: cancel the cyclotomic factors of the
+        denominator from the numerator, then the common power of q."""
+        num = self.num
+        if num.is_zero:
+            return RATFUNC_ZERO
+        den_cyc: dict[int, int] = {}
+        for a, m in self.factors.items():
+            for c in divisors(a):
+                den_cyc[c] = den_cyc.get(c, 0) + m
+        cancelled: dict[int, int] = {}
+        for c in sorted(den_cyc):
+            v, num = _divide_out(num, cyclotomic(c), cap=den_cyc[c])
+            if v:
+                cancelled[c] = v
+        low, num = num.split_monomial()
+        qstrip = min(low, self.qshift)
+        if low > qstrip:
+            num = num.shifted(low - qstrip)
+
+        den = Poly(_expand_factors(self.factors))
+        for c, v in cancelled.items():
+            phi = cyclotomic(c)
+            for _ in range(v):
+                den = den.divmod_monic(phi)[0]
+        den = den.shifted(self.qshift - qstrip)
+        if den.lead < 0:
+            num, den = -num, -den
+        return RatFunc._from_canonical(num, den)
+
+    def evaluate(self, t) -> Fraction:
+        """Exact value at q = t; raises ZeroDivisionError on a pole."""
+        t = Fraction(t)
+        den = t ** self.qshift
+        for a, mult in self.factors.items():
+            den *= (t ** a - 1) ** mult
+        if den == 0:
+            # a zero of the unreduced denominator may cancel
+            return self.to_ratfunc().evaluate(t)
+        return self.num.evaluate(t) / den
+
+    # arithmetic goes through the canonical form (as does a RatFunc on the left)
+    def __add__(self, other) -> RatFunc:
+        return self.to_ratfunc() + other
+
+    def __sub__(self, other) -> RatFunc:
+        return self.to_ratfunc() - other
+
+    def __mul__(self, other) -> RatFunc:
+        return self.to_ratfunc() * other
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (FactoredFraction, RatFunc, Poly, int)):
+            return self.to_ratfunc() == _as_ratfunc(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        parts = [f"q^{self.qshift}"] if self.qshift else []
+        parts += [f"(q^{a} - 1)^{m}" for a, m in sorted(self.factors.items())]
+        den = " * ".join(parts)
+        return f"FactoredFraction(({self.num}) / ({den or 1}))"
 
 
 def rational_p_valuation(x: Union[Fraction, int], p: int) -> Valuation:

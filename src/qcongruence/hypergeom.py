@@ -1,10 +1,12 @@
 """Exact evaluation of the truncated sums and hypergeometric identities.
 
 All series parameters are integer exponents of q (a = q**alpha and so on),
-so every value lives in ``RatFunc``.  Very-well-poised parameter pairs
-(q*sqrt(a), -q*sqrt(a)) / (sqrt(a), -sqrt(a)) are never split into square
-roots: the paired quotient collapses to (1 - a*q**(2k)) / (1 - a), which
-keeps all exponents integral.
+so every value is a rational function in q.  The evaluators return the
+unreduced ``FactoredFraction`` that ``qsum`` builds: valuations and zero
+tests read it directly, and ``==`` or ``to_ratfunc`` reduce it.
+Very-well-poised parameter pairs (q*sqrt(a), -q*sqrt(a)) / (sqrt(a),
+-sqrt(a)) are never split into square roots: the paired quotient collapses
+to (1 - a*q**(2k)) / (1 - a), which keeps all exponents integral.
 
 The evaluators share one summation kernel (``qobjects.qsum``) but build
 their terms along independent routes:
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
-from .exactalg import RatFunc
+from .exactalg import FactoredFraction, RatFunc
 from .qobjects import QPochSpec, QProduct, VanishingDenominator, qsum
 
 __all__ = [
@@ -174,7 +176,7 @@ def theorem_term(case: TheoremCase, k: int) -> RatFunc:
     return _term_product(case.d, case.r, k).to_ratfunc()
 
 
-def truncated_sum(d: int, r: int, upper: int) -> RatFunc:
+def truncated_sum(d: int, r: int, upper: int) -> FactoredFraction:
     """sum_{k=0}^{upper} [2dk+r] (q^r;q^d)_k^d / (q^d;q^d)_k^d q^(d(d-r-2)k/2).
 
     The raw sum builder: no theorem hypotheses are imposed beyond the
@@ -187,7 +189,7 @@ def truncated_sum(d: int, r: int, upper: int) -> RatFunc:
     return qsum(_term_product(d, r, k) for k in range(upper + 1))
 
 
-def theorem_sum(case: TheoremCase) -> RatFunc:
+def theorem_sum(case: TheoremCase) -> FactoredFraction:
     """The truncated sum of the case, summed to its truncation order."""
     return truncated_sum(case.d, case.r, case.upper_bound)
 
@@ -211,7 +213,7 @@ def _vwp_term(alpha: int, bc: Sequence[int], N: int, w: int, base: int, k: int) 
     return t
 
 
-def _vwp_series(alpha: int, bc: Sequence[int], N: int, base: int = 1) -> RatFunc:
+def _vwp_series(alpha: int, bc: Sequence[int], N: int, base: int = 1) -> FactoredFraction:
     """Terminating very-well-poised series with paired parameters.
 
     ``bc`` lists the 2m free parameter exponents; each e is paired with
@@ -248,7 +250,7 @@ class AndrewsParams:
             raise ValueError("termination order must be non-negative")
 
 
-def andrews_lhs(p: AndrewsParams) -> RatFunc:
+def andrews_lhs(p: AndrewsParams) -> FactoredFraction:
     """Left side: the single terminating very-well-poised series."""
     bc = [e for pair in p.pairs for e in pair]
     return _vwp_series(p.a, bc, p.N)
@@ -305,7 +307,7 @@ def _multisum_terms(
         yield t
 
 
-def andrews_rhs(p: AndrewsParams) -> RatFunc:
+def andrews_rhs(p: AndrewsParams) -> FactoredFraction:
     """Right side: prefactor times the (m-1)-fold sum."""
     pre = _prefactor_product(p.a, p.pairs, p.N, 1)
     return qsum(
@@ -317,7 +319,8 @@ def andrews_rhs(p: AndrewsParams) -> RatFunc:
 # the classical m = 2 transformation, via its own summation loops
 
 
-def watson_pair(a: int, b: int, c: int, d: int, e: int, N: int) -> tuple[RatFunc, RatFunc]:
+def watson_pair(a: int, b: int, c: int, d: int, e: int,
+                N: int) -> tuple[FactoredFraction, FactoredFraction]:
     """Both sides of the 8phi7 -> 4phi3 transformation, evaluated
     independently; the two values must be equal."""
     lhs = _vwp_series(a, [b, c, d, e], N)
@@ -377,7 +380,7 @@ class KarlssonMintonParams:
         return sum(self.nondeg)
 
 
-def gasper_terminating_sum(p: KarlssonMintonParams) -> RatFunc:
+def gasper_terminating_sum(p: KarlssonMintonParams) -> FactoredFraction:
     """The terminating very-well-poised Karlsson-Minton sum; identically 0
     whenever N > nu = sum of the shifts."""
     if p.N <= p.nu:
@@ -386,7 +389,7 @@ def gasper_terminating_sum(p: KarlssonMintonParams) -> RatFunc:
     return _vwp_series(p.a, bc, p.N)
 
 
-def multi_km_sum(p: KarlssonMintonParams) -> RatFunc:
+def multi_km_sum(p: KarlssonMintonParams) -> FactoredFraction:
     """The vanishing (m-1)-fold sum: the multiseries transform specialised
     by b_i = a*q**(n_i+1)/e_i, c_i = e_{i+1} (indices wrapping around)."""
     m = len(p.e)
@@ -430,7 +433,7 @@ def proof_decomposition(case: TheoremCase) -> tuple[RatFunc, RatFunc]:
     pre.mul_one_minus_q(1, -1)
     pre.mul(_prefactor_product(r, pairs, N, d))
     multisum = qsum(_multisum_terms(r, pairs, N, d))
-    return pre.to_ratfunc(), multisum
+    return pre.to_ratfunc(), multisum.to_ratfunc()
 
 
 # ---------------------------------------------------------------------------

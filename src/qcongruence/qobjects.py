@@ -9,9 +9,12 @@ structure explicit: folding each factor through
     1 - q**e  =  (q**|e| - 1) / q**|e|  for e < 0,
 
 leaves sign * q**qexp * prod (q**a - 1)**mult with every a >= 1.  Sums of
-such terms are accumulated over a common factored denominator and reduced
-against cyclotomic factors only, so no general polynomial gcd is ever
-needed on the large numerators the theorem sums produce.
+such terms are accumulated over a common factored denominator and returned
+unreduced, as a ``FactoredFraction``: cyclotomic valuations are read off
+the expanded numerator and the factor map, so the theorem checks never
+reduce their large numerators.  The canonical form, when a caller asks for
+it, comes from cancelling cyclotomic factors only; no general polynomial
+gcd is ever needed.
 """
 
 from __future__ import annotations
@@ -21,12 +24,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .exactalg import (
+    FactoredFraction,
     Poly,
-    RATFUNC_ZERO,
     RatFunc,
-    cyclotomic,
-    divisors,
-    _divide_out,
+    _expand_factors,
 )
 
 __all__ = [
@@ -151,9 +152,7 @@ class QProduct:
         return out
 
     def to_ratfunc(self) -> RatFunc:
-        if self.is_zero:
-            return RATFUNC_ZERO
-        return qsum([self])
+        return qsum([self]).to_ratfunc()
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -162,40 +161,14 @@ class QProduct:
         return f"QProduct({'-' if self.sign < 0 else ''}q^{self.qexp} {body})"
 
 
-# ---------------------------------------------------------------------------
-# expansion helpers (plain coefficient lists, constant term first)
+def qsum(products: Iterable[QProduct]) -> FactoredFraction:
+    """Exact sum of QProduct terms, unreduced.
 
-
-def _mul_binomial(cs: list[int], a: int) -> list[int]:
-    """Multiply a coefficient list by (q**a - 1)."""
-    n = len(cs)
-    if a >= n:
-        return [-c for c in cs] + [0] * (a - n) + cs
-    head = [-c for c in cs[:a]]
-    mid = [x - y for x, y in zip(cs, cs[a:])]
-    tail = list(cs[n - a:])
-    return head + mid + tail
-
-
-def _expand_factors(factors: dict[int, int], sign: int = 1) -> list[int]:
-    cs = [sign]
-    for a in sorted(factors):
-        for _ in range(factors[a]):
-            cs = _mul_binomial(cs, a)
-    return cs
-
-
-def qsum(products: Iterable[QProduct]) -> RatFunc:
-    """Exact sum of QProduct terms as a canonical rational function.
-
-    All terms are placed over the least common factored denominator, the
-    numerators are expanded by repeated binomial multiplication, and the
-    final fraction is reduced by cancelling cyclotomic factors (the only
-    irreducible factors the denominator can contain).
+    All terms are placed over the least common factored denominator and
+    the numerators are expanded by repeated binomial multiplication.  The
+    result keeps that denominator as its factor map; nothing is divided.
     """
     terms = [t for t in products if not t.is_zero]
-    if not terms:
-        return RATFUNC_ZERO
 
     den_need: dict[int, int] = {}
     min_qexp = 0
@@ -224,34 +197,7 @@ def qsum(products: Iterable[QProduct]) -> RatFunc:
         for i, c in enumerate(cs):
             if c:
                 acc[shift + i] += c
-    num = Poly(acc)
-    if num.is_zero:
-        return RATFUNC_ZERO
-
-    # reduce: the denominator factors only into q and cyclotomics
-    den_cyc: dict[int, int] = {}
-    for a, m in den_need.items():
-        for c in divisors(a):
-            den_cyc[c] = den_cyc.get(c, 0) + m
-    cancelled: dict[int, int] = {}
-    for c in sorted(den_cyc):
-        v, num = _divide_out(num, cyclotomic(c), cap=den_cyc[c])
-        if v:
-            cancelled[c] = v
-    low, num = num.split_monomial()
-    qstrip = min(low, qden)
-    if low > qstrip:
-        num = num.shifted(low - qstrip)
-
-    den = Poly(_expand_factors(den_need))
-    for c, v in cancelled.items():
-        phi = cyclotomic(c)
-        for _ in range(v):
-            den = den.divmod_monic(phi)[0]
-    den = den.shifted(qden - qstrip)
-    if den.lead < 0:
-        num, den = -num, -den
-    return RatFunc._from_canonical(num, den)
+    return FactoredFraction(Poly(acc), den_need, qden)
 
 
 # ---------------------------------------------------------------------------

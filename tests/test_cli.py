@@ -215,3 +215,44 @@ def test_verify_bad_power_fails_before_summing(monkeypatch, capsys):
     assert code == 2
     assert sums == []
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,checker", [
+    (["verify", "vanhamme", "--p", "7"], "van_hamme_check"),
+    (["sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9"], "check_theorem"),
+])
+def test_output_into_missing_directory_fails_before_any_sum(monkeypatch, capsys, tmp_path,
+                                                            argv, checker):
+    from qcongruence import cli
+
+    calls = []
+    monkeypatch.setattr(cli, checker, lambda *a, **k: calls.append(a))
+    target = tmp_path / "missing" / "x.jsonl"
+    assert cli.main(argv + ["--output", str(target)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_identity_nonpositive_trials_is_usage_error(trials):
+    proc = run_cli("identity", "andrews", "--trials", trials)
+    assert proc.returncode == 2
+    assert "--trials" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_sweep_tiny_matches_stored_bytes():
+    expected = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "bench", "expected", "sweep_tiny.out")
+    with open(expected, "rb") as fh:
+        want = fh.read()
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcongruence", "sweep", "--theorem", "thm1",
+         "--d-max", "5", "--n-max", "9"],
+        capture_output=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == want

@@ -6,7 +6,7 @@ import pytest
 
 from qcongruence.exactalg import INFINITE, Poly, RatFunc, cyclotomic
 from qcongruence.hypergeom import InvalidCase, TheoremCase, Truncation, Variant, theorem_sum
-from qcongruence.qobjects import rising_factorial
+from qcongruence.qobjects import QProduct, qsum, rising_factorial
 from qcongruence.congruence import (
     CheckStatus,
     Conjecture,
@@ -306,3 +306,40 @@ def test_legacy_d3_exclusion():
 def test_legacy_d3_r_minus_one_families_hold():
     assert legacy_check(3, -1, 4, 2).status is CheckStatus.PASS
     assert legacy_check(3, -1, 5, 3).status is CheckStatus.PASS
+
+
+def _binomial_quotient(top: dict, bottom: dict, sign: int = 1) -> QProduct:
+    """sign * prod (q^a - 1)^top[a] / prod (q^b - 1)^bottom[b], as one QProduct."""
+    t = QProduct()
+    t.sign = sign
+    for a, m in top.items():
+        t.factors[a] = m
+    for b, m in bottom.items():
+        t.factors[b] = t.factors.get(b, 0) - m
+    return t
+
+
+ORACLE_ROUTES = [
+    # (sum, modulus, verdict)
+    (lambda: theorem_sum(TheoremCase(5, 1, 4, Variant.THM1)), q_integer_modulus(4, 2),
+     CheckStatus.PASS),
+    (lambda: theorem_sum(TheoremCase(5, 1, 9, Variant.THM1)), q_integer_modulus(9, 2),
+     CheckStatus.FAIL),
+    # (q^6 - 1)^2 / (q^3 - 1): Phi_3 to the first power after cancellation
+    (lambda: qsum([_binomial_quotient({6: 2}, {3: 1})]), phi_modulus(3, 1), CheckStatus.PASS),
+    (lambda: qsum([_binomial_quotient({6: 2}, {3: 1})]), phi_modulus(3, 2), CheckStatus.FAIL),
+    # a pole at a required index is an ERROR, and wins over the FAIL at index 2
+    (lambda: qsum([_binomial_quotient({}, {3: 1})]), Modulus({2: 1, 3: 1}), CheckStatus.ERROR),
+    (lambda: qsum([_binomial_quotient({1: 1}, {3: 1}), _binomial_quotient({}, {6: 1})]),
+     q_integer_modulus(6), CheckStatus.ERROR),
+    # terms that cancel leave zero over a denominator with poles: PASS
+    (lambda: qsum([_binomial_quotient({2: 1}, {4: 1}), _binomial_quotient({2: 1}, {4: 1}, -1)]),
+     q_integer_modulus(4), CheckStatus.PASS),
+]
+
+
+@pytest.mark.parametrize("total,mod,verdict", ORACLE_ROUTES)
+def test_oracle_factored_route_agrees_with_canonical(total, mod, verdict):
+    value = total()
+    assert oracle_check(value, mod) is verdict
+    assert oracle_check(value.to_ratfunc(), mod) is verdict

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongruence.exactalg import ONE, Poly, RatFunc, poly_gcd
+from qcongruence.exactalg import INFINITE, phi_valuation
 from qcongruence.qobjects import (
     QPochSpec,
     QProduct,
@@ -135,7 +136,7 @@ def test_qsum_matches_generic_ratfunc_arithmetic():
         + RatFunc(Poly((1, -1)))
     )
     assert got == ref
-    assert poly_gcd(got.num, got.den) == ONE
+    assert poly_gcd(got.to_ratfunc().num, got.to_ratfunc().den) == ONE
 
 
 @given(st.lists(
@@ -157,5 +158,35 @@ def test_qsum_agrees_with_numeric_substitution(raw):
     direct = sum((term.evaluate(t) for term in terms), Fraction(0))
     assert value.evaluate(t) == direct
     if not value.is_zero:
-        assert poly_gcd(value.num, value.den) == ONE
-        assert value.den.lead > 0
+        assert poly_gcd(value.to_ratfunc().num, value.to_ratfunc().den) == ONE
+        assert value.to_ratfunc().den.lead > 0
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 4),
+              st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=4),
+              st.booleans()),
+    max_size=5,
+))
+def test_qsum_valuations_match_canonical_form(raw):
+    # poles (negative multiplicities), terms that cancel (a negated twin),
+    # and zero sums (empty, or every term twinned)
+    terms = []
+    for sign, qexp, factors, twin in raw:
+        t = QProduct()
+        t.sign = sign
+        t.qexp = qexp
+        t.factors = {a: m for a, m in factors.items() if m}
+        terms.append(t)
+        if twin:
+            neg = t.copy()
+            neg.sign = -sign
+            terms.append(neg)
+    value = qsum(terms)
+    canonical = value.to_ratfunc()
+    assert value.is_zero == canonical.is_zero
+    for m in range(1, 13):
+        assert value.valuation(m) == phi_valuation(canonical, m)
+        assert phi_valuation(value, m) == value.valuation(m)
+    if all(twin for *_, twin in raw):
+        assert value.valuation(5) is INFINITE
