@@ -102,13 +102,15 @@ def _case_fields(case: TheoremCase) -> dict:
 
 
 def _emit(lines: Iterable[str], output: str | None) -> None:
+    """Write each line as ``lines`` yields it, so a generator streams."""
     if output:
         with open(output, "w") as fh:
             for line in lines:
                 fh.write(line + "\n")
+                fh.flush()
     else:
         for line in lines:
-            print(line)
+            print(line, flush=True)
 
 
 def _status_exit(status: CheckStatus) -> int:
@@ -285,25 +287,29 @@ def cmd_sweep(args) -> int:
                          "r_min": r_range[0], "r_max": r_range[1],
                          "cases": len(cases), "seed": args.seed})
     jobs = [(kind, case, args.oracle, args.seed) for case in cases]
+    counts = {"PASS": 0, "FAIL": 0, "ERROR": 0, "mismatch": 0}
+
+    def lines(records):
+        # write (and count) each record as soon as it is next in order
+        yield header
+        for rec in records:
+            counts[rec["status"]] += 1
+            if args.oracle and rec.get("oracle") != rec["status"]:
+                counts["mismatch"] += 1
+            yield json.dumps(rec)
+
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_worker, jobs))
+            _emit(lines(pool.map(_sweep_worker, jobs)), args.output)
     else:
-        records = [_sweep_worker(job) for job in jobs]
+        _emit(lines(map(_sweep_worker, jobs)), args.output)
     elapsed = time.perf_counter() - start
-    _emit([header] + [json.dumps(rec) for rec in records], args.output)
-    counts = {"PASS": 0, "FAIL": 0, "ERROR": 0}
-    mismatches = 0
-    for rec in records:
-        counts[rec["status"]] += 1
-        if args.oracle and rec.get("oracle") != rec["status"]:
-            mismatches += 1
-    print(f"sweep {kind}: {len(records)} cases, "
+    print(f"sweep {kind}: {len(jobs)} cases, "
           f"{counts['PASS']} pass, {counts['FAIL']} fail, "
           f"{counts['ERROR']} error ({elapsed:.1f} s)", file=sys.stderr)
-    if mismatches:
-        print(f"oracle disagreements: {mismatches}", file=sys.stderr)
+    if counts["mismatch"]:
+        print(f"oracle disagreements: {counts['mismatch']}", file=sys.stderr)
         return EXIT_ERROR
     if kind.startswith("conj"):
         return EXIT_PASS

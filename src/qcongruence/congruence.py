@@ -31,7 +31,7 @@ from .exactalg import (
     phi_valuation,
     rational_p_valuation,
 )
-from .qobjects import QPochSpec, q_poch_product, rising_factorial
+from .qobjects import QPochSpec, QProduct, qsum, rising_factorial
 from .hypergeom import (
     InvalidCase,
     TheoremCase,
@@ -285,12 +285,11 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
     mod = phi_modulus(n, 2)
     worst: Valuation = INFINITE
     for k in range(k_max + 1):
-        lhs = q_poch_product([
-            (QPochSpec(r - alpha * n, d, k), 1),
-            (QPochSpec(r + alpha * n, d, k), 1),
-        ])
-        rhs = q_poch_product([(QPochSpec(r, d, k), 2)])
-        v = phi_valuation(lhs - rhs, n)
+        lhs = QProduct().mul_pochhammer(QPochSpec(r - alpha * n, d, k))
+        lhs.mul_pochhammer(QPochSpec(r + alpha * n, d, k))
+        rhs = QProduct().mul_pochhammer(QPochSpec(r, d, k), 2)
+        rhs.sign = -rhs.sign
+        v = phi_valuation(qsum([lhs, rhs]), n)
         if v < worst:
             worst = v
     report = CheckReport.verdict(

@@ -12,8 +12,10 @@ Conventions used everywhere in this package:
   represented as 0/1.
 * ``FactoredFraction`` is a sum as the summation kernel leaves it: an
   expanded numerator over q**qshift * prod (q**a - 1)**mult.  Cyclotomic
-  valuations are read off it without reducing; ``to_ratfunc`` builds the
-  canonical form when a caller needs it.
+  valuations are read off it without reducing, and ``+``, ``-`` and ``*``
+  with a Poly, an int or another FactoredFraction keep it factored, with
+  no general polynomial gcd; ``==`` and ``to_ratfunc`` build the canonical
+  form.
 * Values are immutable after construction and may be shared freely between
   threads.  The only shared state is the memo table behind ``cyclotomic``
   and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
@@ -103,8 +105,9 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __add__(self, other: Union["Poly", int]) -> "Poly":
-        other = _as_poly(other)
-        a, b = self.coeffs, other.coeffs
+        if not isinstance(other, (Poly, int)):
+            return NotImplemented
+        a, b = self.coeffs, _as_poly(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -115,16 +118,18 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
-        return self + (-_as_poly(other))
+        return self + (-other) if isinstance(other, (Poly, int)) else NotImplemented
 
     def __rsub__(self, other: Union["Poly", int]) -> "Poly":
-        return _as_poly(other) + (-self)
+        return -self + other
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
             if other == 0:
                 return ZERO
             return Poly(c * other for c in self.coeffs)
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
@@ -186,10 +191,6 @@ class Poly:
         if c in (0, 1):
             return self
         return Poly(x // c for x in self.coeffs)
-
-    @property
-    def height(self) -> int:
-        return max((abs(c) for c in self.coeffs), default=0)
 
     def evaluate(self, x):
         """Horner evaluation; works for int and Fraction arguments."""
@@ -292,8 +293,6 @@ def _as_poly(x: Union[Poly, int]) -> Poly:
 # ---------------------------------------------------------------------------
 # GCD
 
-_HEURISTIC_MIN_DEGREE = 24
-
 
 def _positive_primitive(p: Poly) -> Poly:
     p = p.primitive_part()
@@ -320,42 +319,6 @@ def _gcd_prs(f: Poly, g: Poly) -> Poly:
     return f
 
 
-def _balanced_digits(n: int, xi: int) -> Poly:
-    coeffs = []
-    half = xi // 2
-    while n:
-        d = n % xi
-        if d > half:
-            d -= xi
-        coeffs.append(d)
-        n = (n - d) // xi
-    return Poly(coeffs)
-
-
-def _gcd_heuristic(f: Poly, g: Poly) -> Poly | None:
-    """Evaluation/interpolation gcd; returns None when no attempt verifies.
-
-    A candidate is only accepted after exact trial division into both
-    inputs, so a successful return is always a genuine common divisor.
-    """
-    xi = 2 * min(f.height, g.height) + 29
-    for _ in range(6):
-        fv, gv = f.evaluate(xi), g.evaluate(xi)
-        if fv and gv:
-            cand = _balanced_digits(math.gcd(fv, gv), xi)
-            if not cand.is_zero:
-                cand = _positive_primitive(cand)
-                try:
-                    f.div_exact(cand)
-                    g.div_exact(cand)
-                except ExactDivisionError:
-                    pass
-                else:
-                    return cand
-        xi = xi * 73794 // 27011 + 5
-    return None
-
-
 def poly_gcd(a: Union[Poly, int], b: Union[Poly, int]) -> Poly:
     """Primitive gcd in Z[q] with positive leading coefficient.
 
@@ -374,14 +337,8 @@ def poly_gcd(a: Union[Poly, int], b: Union[Poly, int]) -> Poly:
     shift = min(sa, sb)
     pa, pb = pa.primitive_part(), pb.primitive_part()
     if pa.degree == 0 or pb.degree == 0:
-        g = ONE
-    else:
-        g = None
-        if min(pa.degree, pb.degree) > _HEURISTIC_MIN_DEGREE:
-            g = _gcd_heuristic(pa, pb)
-        if g is None:
-            g = _positive_primitive(_gcd_prs(pa, pb))
-    return g.shifted(shift)
+        return ONE.shifted(shift)
+    return _positive_primitive(_gcd_prs(pa, pb)).shifted(shift)
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +656,11 @@ class FactoredFraction:
     map, unreduced.  Phi_m divides q**a - 1 exactly once when m | a, and
     never divides q, so the denominator's Phi_m multiplicity is the sum of
     mult over the a that m divides; the valuation at m costs divisions of
-    the numerator by Phi_m alone.  ``to_ratfunc`` reduces to the canonical
-    RatFunc; equality and arithmetic go through it.
+    the numerator by Phi_m alone.  ``+``, ``-`` and ``*`` with a Poly, an
+    int or another FactoredFraction stay factored: a sum goes over the
+    larger multiplicity of each factor and the larger q-shift, a product
+    adds both.  ``to_ratfunc`` reduces to the canonical RatFunc; ``==``
+    and arithmetic with a RatFunc go through it.
     """
 
     __slots__ = ("num", "factors", "qshift")
@@ -769,15 +729,47 @@ class FactoredFraction:
             return self.to_ratfunc().evaluate(t)
         return self.num.evaluate(t) / den
 
-    # arithmetic goes through the canonical form (as does a RatFunc on the left)
-    def __add__(self, other) -> RatFunc:
-        return self.to_ratfunc() + other
+    def _over(self, factors: dict[int, int], qshift: int) -> Poly:
+        """The numerator rewritten over q**qshift * prod (q**a - 1)**factors[a],
+        a denominator that this one divides."""
+        cofactor = {a: m - self.factors.get(a, 0) for a, m in factors.items()
+                    if m > self.factors.get(a, 0)}
+        return (self.num * Poly(_expand_factors(cofactor))).shifted(qshift - self.qshift)
 
-    def __sub__(self, other) -> RatFunc:
-        return self.to_ratfunc() - other
+    def __add__(self, other) -> Union["FactoredFraction", RatFunc]:
+        if isinstance(other, (Poly, int)):
+            other = FactoredFraction(_as_poly(other), {}, 0)
+        if not isinstance(other, FactoredFraction):
+            return self.to_ratfunc() + other
+        factors = dict(self.factors)
+        for a, m in other.factors.items():
+            factors[a] = max(factors.get(a, 0), m)
+        qshift = max(self.qshift, other.qshift)
+        num = self._over(factors, qshift) + other._over(factors, qshift)
+        return FactoredFraction(num, factors, qshift)
 
-    def __mul__(self, other) -> RatFunc:
-        return self.to_ratfunc() * other
+    __radd__ = __add__
+
+    def __neg__(self) -> "FactoredFraction":
+        return FactoredFraction(-self.num, self.factors, self.qshift)
+
+    def __sub__(self, other) -> Union["FactoredFraction", RatFunc]:
+        return self + (-other)
+
+    def __rsub__(self, other) -> Union["FactoredFraction", RatFunc]:
+        return -self + other
+
+    def __mul__(self, other) -> Union["FactoredFraction", RatFunc]:
+        if isinstance(other, (Poly, int)):
+            other = FactoredFraction(_as_poly(other), {}, 0)
+        if not isinstance(other, FactoredFraction):
+            return self.to_ratfunc() * other
+        factors = dict(self.factors)
+        for a, m in other.factors.items():
+            factors[a] = factors.get(a, 0) + m
+        return FactoredFraction(self.num * other.num, factors, self.qshift + other.qshift)
+
+    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (FactoredFraction, RatFunc, Poly, int)):

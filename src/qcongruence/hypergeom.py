@@ -3,7 +3,8 @@
 All series parameters are integer exponents of q (a = q**alpha and so on),
 so every value is a rational function in q.  The evaluators return the
 unreduced ``FactoredFraction`` that ``qsum`` builds: valuations and zero
-tests read it directly, and ``==`` or ``to_ratfunc`` reduce it.
+tests read it directly, sums and products of such values stay unreduced,
+and only ``==`` or ``to_ratfunc`` reduce it.
 Very-well-poised parameter pairs (q*sqrt(a), -q*sqrt(a)) / (sqrt(a),
 -sqrt(a)) are never split into square roots: the paired quotient collapses
 to (1 - a*q**(2k)) / (1 - a), which keeps all exponents integral.
@@ -415,13 +416,13 @@ def _decomposition_pairs(case: TheoremCase) -> tuple[tuple[int, int], ...]:
     return ((half, r),) + ((r, r),) * (m - 2) + ((r, d + (d - 2) * n),)
 
 
-def proof_decomposition(case: TheoremCase) -> tuple[RatFunc, RatFunc]:
+def proof_decomposition(case: TheoremCase) -> tuple[FactoredFraction, FactoredFraction]:
     """Rewrite the theorem sum (at its upper truncation) as
     prefactor * multisum; the product equals theorem_sum(case) exactly.
 
     The prefactor carries [r] and the two length-M factorial quotients in
     base q**d; the multisum is the (m-1)-fold transformed sum whose
-    vanishing-order analysis yields the congruence.
+    vanishing-order analysis yields the congruence.  Both stay unreduced.
     """
     if case.truncation is not Truncation.UPPER:
         raise ValueError("decomposition is defined for the upper truncation")
@@ -433,7 +434,7 @@ def proof_decomposition(case: TheoremCase) -> tuple[RatFunc, RatFunc]:
     pre.mul_one_minus_q(1, -1)
     pre.mul(_prefactor_product(r, pairs, N, d))
     multisum = qsum(_multisum_terms(r, pairs, N, d))
-    return pre.to_ratfunc(), multisum.to_ratfunc()
+    return qsum([pre]), multisum
 
 
 # ---------------------------------------------------------------------------

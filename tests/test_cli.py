@@ -256,3 +256,47 @@ def test_sweep_tiny_matches_stored_bytes():
     )
     assert proc.returncode == 1
     assert proc.stdout == want
+
+
+TINY_SWEEP = ("sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9")
+TINY_SWEEP_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "bench", "expected", "sweep_tiny.out")
+
+
+def test_sweep_writes_each_record_when_done(monkeypatch, tmp_path):
+    from qcongruence import cli
+
+    real = cli._sweep_worker
+    done = []
+
+    def dies_on_third(job):
+        if len(done) == 2:
+            raise RuntimeError("worker died")
+        done.append(job)
+        return real(job)
+
+    monkeypatch.setattr(cli, "_sweep_worker", dies_on_third)
+    out = tmp_path / "sweep.jsonl"
+    with pytest.raises(RuntimeError):
+        cli.main([*TINY_SWEEP, "--jobs", "1", "--output", str(out)])
+    with open(TINY_SWEEP_OUT, "rb") as fh:
+        want = fh.read().splitlines(keepends=True)[:3]
+    assert out.read_bytes() == b"".join(want)
+
+
+# command paths that must not reach the general gcd, with their exit codes
+GCD_FREE = ([(args, code) for args, code in EXIT_MATRIX if code == 0]
+            + [(("identity", kind, "--trials", "1"), 0)
+               for kind in ("andrews", "watson", "gasper-km", "multi-km")]
+            + [(TINY_SWEEP, 1)])
+
+
+@pytest.mark.parametrize("args,code", GCD_FREE, ids=[" ".join(a) for a, _ in GCD_FREE])
+def test_commands_never_need_a_general_gcd(monkeypatch, args, code):
+    from qcongruence import cli, exactalg
+
+    def forbidden(*_):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(exactalg, "poly_gcd", forbidden)
+    assert cli.main(list(args)) == code

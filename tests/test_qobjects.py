@@ -1,12 +1,13 @@
 """q-shifted factorials, factored products, and the summation kernel."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qcongruence.exactalg import ONE, Poly, RatFunc, poly_gcd
-from qcongruence.exactalg import INFINITE, phi_valuation
+from qcongruence.exactalg import INFINITE, FactoredFraction, phi_valuation
 from qcongruence.qobjects import (
     QPochSpec,
     QProduct,
@@ -190,3 +191,67 @@ def test_qsum_valuations_match_canonical_form(raw):
         assert phi_valuation(value, m) == value.valuation(m)
     if all(twin for *_, twin in raw):
         assert value.valuation(5) is INFINITE
+
+
+# the strategy of test_qsum_valuations_match_canonical_form: poles, negated
+# twins and zero sums
+qproduct_lists = st.lists(
+    st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 4),
+              st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=4),
+              st.booleans()),
+    max_size=5,
+)
+
+
+def build_terms(raw):
+    terms = []
+    for sign, qexp, factors, twin in raw:
+        t = QProduct()
+        t.sign = sign
+        t.qexp = qexp
+        t.factors = {a: m for a, m in factors.items() if m}
+        terms.append(t)
+        if twin:
+            neg = t.copy()
+            neg.sign = -sign
+            terms.append(neg)
+    return terms
+
+
+ARITHMETIC = [
+    pytest.param(operator.add, id="+"),
+    pytest.param(operator.sub, id="-"),
+    pytest.param(operator.mul, id="*"),
+]
+
+
+@pytest.mark.parametrize("op", ARITHMETIC)
+@given(qproduct_lists, qproduct_lists,
+       st.lists(st.integers(-3, 3), max_size=4).map(Poly))
+def test_factored_arithmetic_matches_canonical(op, raw_a, raw_b, p):
+    # the RatFunc side is the reference
+    a, b = qsum(build_terms(raw_a)), qsum(build_terms(raw_b))
+    ra, rb, rp = a.to_ratfunc(), b.to_ratfunc(), RatFunc(p)
+    for got, want in ((op(a, b), op(ra, rb)),
+                      (op(a, p), op(ra, rp)),
+                      (op(p, a), op(rp, ra))):
+        assert isinstance(got, FactoredFraction)
+        assert got.to_ratfunc() == want
+    assert isinstance(-a, FactoredFraction) and (-a).to_ratfunc() == -ra
+
+
+Q_INV = RatFunc(1, Poly((0, 1)))
+FACTORED = qsum([QProduct().mul_one_minus_q(2, -1), QProduct().mul_qpow(-1)])
+
+
+@pytest.mark.parametrize("op,other,reference", [
+    pytest.param(op.values[0], other, reference, id=f"Poly {op.id} {name}")
+    for op in ARITHMETIC
+    for name, other, reference in (("RatFunc", Q_INV, Q_INV),
+                                   ("qsum", FACTORED, FACTORED.to_ratfunc()))
+])
+def test_poly_with_other_operand_defers_to_it(op, other, reference):
+    p = Poly((1, 1))
+    got = op(p, other)
+    assert type(got) is type(other)
+    assert got == op(RatFunc(p), reference)
