@@ -220,22 +220,26 @@ def _params_fields(kind: str, params) -> dict:
 
 def cmd_identity(args) -> int:
     rng = random.Random(args.seed)
-    lines = []
     failures = 0
+
+    def lines():
+        # write each record as soon as its trial is done
+        nonlocal failures
+        for trial in range(args.trials):
+            params, ok, resamples = _identity_trial(args.kind, rng, args.m, args.N)
+            failures += not ok
+            yield json.dumps({
+                "command": f"identity {args.kind}",
+                "trial": trial,
+                "params": _params_fields(args.kind, params),
+                "status": "PASS" if ok else "FAIL",
+                "resamples": resamples,
+                "elapsed_ms": None,
+                "seed": args.seed,
+            })
+
     start = time.perf_counter()
-    for trial in range(args.trials):
-        params, ok, resamples = _identity_trial(args.kind, rng, args.m, args.N)
-        failures += not ok
-        lines.append(json.dumps({
-            "command": f"identity {args.kind}",
-            "trial": trial,
-            "params": _params_fields(args.kind, params),
-            "status": "PASS" if ok else "FAIL",
-            "resamples": resamples,
-            "elapsed_ms": None,
-            "seed": args.seed,
-        }))
-    _emit(lines, args.output)
+    _emit(lines(), args.output)
     elapsed = time.perf_counter() - start
     print(f"identity {args.kind}: {args.trials - failures}/{args.trials} exact "
           f"({elapsed:.1f} s, seed {args.seed})", file=sys.stderr)
@@ -394,6 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(f"--oracle does not apply to verify {args.kind}")
     if args.command == "identity" and args.trials < 1:
         parser.error("--trials must be at least 1")
+    if args.command == "sweep" and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     if args.output:
         # fail before any sum, not after the whole run
         try:

@@ -12,7 +12,8 @@ Conventions used everywhere in this package:
   represented as 0/1.
 * ``FactoredFraction`` is a sum as the summation kernel leaves it: an
   expanded numerator over q**qshift * prod (q**a - 1)**mult.  Cyclotomic
-  valuations are read off it without reducing, and ``+``, ``-`` and ``*``
+  valuations are read off it without reducing (whole q**m - 1 factors are
+  peeled off the numerator by additions), and ``+``, ``-`` and ``*``
   with a Poly, an int or another FactoredFraction keep it factored, with
   no general polynomial gcd; ``==`` and ``to_ratfunc`` build the canonical
   form.
@@ -24,10 +25,12 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from itertools import accumulate
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "ExactDivisionError",
@@ -603,9 +606,27 @@ def _residue_at_2(p: Poly, modulus: int) -> int:
     return acc
 
 
-def _poly_phi_valuation(p: Poly, phi: Poly, cap: int | None = None) -> int:
-    """Multiplicity of the monic factor phi in p (p != 0)."""
-    return _divide_out(p, phi, cap)[0]
+def _poly_phi_valuation(p: Poly, m: int) -> int:
+    """Multiplicity of Phi_m in p (p != 0).
+
+    Whole (q**m - 1) factors are peeled off first, each by one division
+    that uses additions only; Phi_m divides q**m - 1 exactly once, so each
+    exact one counts 1.  The first remainder R decides the rest: Phi_m
+    divides the cofactor exactly when it divides R, and only then does
+    repeated division by Phi_m itself go on.
+    """
+    count, cs = 0, list(p.coeffs)
+    while len(cs) > m:
+        quot, rem = _div_binomial(cs, m)
+        if any(rem):
+            break
+        count, cs = count + 1, quot
+    else:
+        rem = cs
+    phi = cyclotomic(m)
+    if Poly(rem).divmod_monic(phi)[1]:
+        return count
+    return count + _divide_out(Poly(cs), phi)[0]
 
 
 def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> Valuation:
@@ -621,8 +642,7 @@ def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> V
     f = _as_ratfunc(f)
     if f.is_zero:
         return INFINITE
-    phi = cyclotomic(m)
-    return _poly_phi_valuation(f.num, phi) - _poly_phi_valuation(f.den, phi)
+    return _poly_phi_valuation(f.num, m) - _poly_phi_valuation(f.den, m)
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +660,22 @@ def _mul_binomial(cs: list[int], a: int) -> list[int]:
     return head + mid + tail
 
 
-def _expand_factors(factors: dict[int, int], sign: int = 1) -> list[int]:
-    """Coefficients of sign * prod (q**a - 1)**mult, all mult >= 0."""
-    cs = [sign]
+def _div_binomial(cs: list[int], a: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a coefficient list by (q**a - 1).
+
+    Q_i = p_(i+a) + Q_(i+a) and R_i = p_i + Q_i: suffix sums along each
+    residue class mod a, additions only.
+    """
+    quot = [0] * max(len(cs) - a, 0)
+    for c in range(min(a, len(quot))):
+        quot[c::a] = list(accumulate(cs[c + a::a][::-1]))[::-1]
+    rem = list(map(operator.add, cs[:a], quot)) + cs[len(quot):a]
+    return quot, rem
+
+
+def _expand_factors(factors: dict[int, int], start: Sequence[int] = (1,)) -> list[int]:
+    """Coefficients of start * prod (q**a - 1)**mult, all mult >= 0."""
+    cs = list(start)
     for a in sorted(factors):
         for _ in range(factors[a]):
             cs = _mul_binomial(cs, a)
@@ -655,11 +688,11 @@ class FactoredFraction:
     The numerator is expanded and the denominator is kept as its factor
     map, unreduced.  Phi_m divides q**a - 1 exactly once when m | a, and
     never divides q, so the denominator's Phi_m multiplicity is the sum of
-    mult over the a that m divides; the valuation at m costs divisions of
-    the numerator by Phi_m alone.  ``+``, ``-`` and ``*`` with a Poly, an
-    int or another FactoredFraction stay factored: a sum goes over the
-    larger multiplicity of each factor and the larger q-shift, a product
-    adds both.  ``to_ratfunc`` reduces to the canonical RatFunc; ``==``
+    mult over the a that m divides; the valuation at m needs only the
+    numerator's, which ``_poly_phi_valuation`` counts.  ``+``, ``-`` and
+    ``*`` with a Poly, an int or another FactoredFraction stay factored:
+    a sum goes over the larger multiplicity of each factor and the larger
+    q-shift, a product adds both.  ``to_ratfunc`` reduces to the canonical RatFunc; ``==``
     and arithmetic with a RatFunc go through it.
     """
 
@@ -683,10 +716,9 @@ class FactoredFraction:
 
     def valuation(self, m: int) -> Valuation:
         """Exponent of Phi_m in the value; INFINITE for zero."""
-        phi = cyclotomic(m)
         if self.num.is_zero:
             return INFINITE
-        return _poly_phi_valuation(self.num, phi) - self.den_multiplicity(m)
+        return _poly_phi_valuation(self.num, m) - self.den_multiplicity(m)
 
     def to_ratfunc(self) -> RatFunc:
         """The canonical RatFunc: cancel the cyclotomic factors of the

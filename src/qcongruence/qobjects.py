@@ -9,16 +9,19 @@ structure explicit: folding each factor through
     1 - q**e  =  (q**|e| - 1) / q**|e|  for e < 0,
 
 leaves sign * q**qexp * prod (q**a - 1)**mult with every a >= 1.  Sums of
-such terms are accumulated over a common factored denominator and returned
-unreduced, as a ``FactoredFraction``: cyclotomic valuations are read off
-the expanded numerator and the factor map, so the theorem checks never
-reduce their large numerators.  The canonical form, when a caller asks for
-it, comes from cancelling cyclotomic factors only; no general polynomial
-gcd is ever needed.
+such terms are placed over a common factored denominator, nested from the
+last term so that each term's numerator comes from its neighbour's by the
+few binomials that differ, and returned unreduced, as a
+``FactoredFraction``: cyclotomic valuations are read off the expanded
+numerator and the factor map, so the theorem checks never reduce their
+large numerators.  The canonical form, when a caller asks for it, comes
+from cancelling cyclotomic factors only; no general polynomial gcd is ever
+needed.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -27,7 +30,9 @@ from .exactalg import (
     FactoredFraction,
     Poly,
     RatFunc,
+    _div_binomial,
     _expand_factors,
+    _mul_binomial,
 )
 
 __all__ = [
@@ -164,9 +169,17 @@ class QProduct:
 def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     """Exact sum of QProduct terms, unreduced.
 
-    All terms are placed over the least common factored denominator and
-    the numerators are expanded by repeated binomial multiplication.  The
-    result keeps that denominator as its factor map; nothing is divided.
+    All terms are placed over the least common factored denominator, so
+    term k contributes sign * q**shift * P(e_k), P(e) = prod (q**a - 1)**e[a].
+    The sum is nested from the last term.  With C the elementwise minimum
+    of e_i over the tail i >= k, U holds the tail's sum divided by P(C);
+    a step to k - 1 multiplies U by the binomials that leave C and adds
+    P(e_(k-1) - C).  That cofactor is carried over from its neighbour by
+    multiplying in and exactly dividing out the binomials that differ, or
+    expanded afresh when that takes fewer binomial steps, so a
+    hypergeometric series costs about one binomial per factor of its term
+    ratio.  The result keeps the common denominator as its factor map;
+    nothing is reduced.
     """
     terms = [t for t in products if not t.is_zero]
 
@@ -180,23 +193,35 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
             min_qexp = t.qexp
     qden = -min_qexp
 
-    acc: list[int] = []
-    for t in terms:
-        mults: dict[int, int] = dict(den_need)
+    acc: list[int] = []                   # U
+    common: dict[int, int] | None = None  # C
+    have: dict[int, int] = {}             # the exponents of cur = P(e_k - C)
+    for t in reversed(terms):
+        exps = dict(den_need)
         for a, m in t.factors.items():
-            new = mults.get(a, 0) + m
-            if new:
-                mults[a] = new
-            else:
-                mults.pop(a, None)
-        cs = _expand_factors(mults, t.sign)
+            exps[a] = exps.get(a, 0) + m
+        if common is None:
+            common = exps
+        low = {a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)}
+        acc = _expand_factors({a: m - low.get(a, 0) for a, m in common.items()}, acc)
+        common = low
+        want = {a: m - low.get(a, 0) for a, m in exps.items() if m > low.get(a, 0)}
+        delta = {a: want.get(a, 0) - have.get(a, 0) for a in want.keys() | have.keys()}
+        if sum(map(abs, delta.values())) < sum(want.values()):
+            # divide out first, which keeps the degrees low
+            for a, m in sorted(delta.items(), key=lambda item: item[1]):
+                for _ in range(abs(m)):
+                    cur = _div_binomial(cur, a)[0] if m < 0 else _mul_binomial(cur, a)
+        else:
+            cur = _expand_factors(want)
+        have = want
         shift = t.qexp + qden
-        top = shift + len(cs)
+        top = shift + len(cur)
         if top > len(acc):
             acc.extend([0] * (top - len(acc)))
-        for i, c in enumerate(cs):
-            if c:
-                acc[shift + i] += c
+        acc[shift:top] = map(operator.add if t.sign > 0 else operator.sub,
+                             acc[shift:top], cur)
+    acc = _expand_factors(common or {}, acc)
     return FactoredFraction(Poly(acc), den_need, qden)
 
 

@@ -284,6 +284,34 @@ def test_sweep_writes_each_record_when_done(monkeypatch, tmp_path):
     assert out.read_bytes() == b"".join(want)
 
 
+def test_identity_writes_each_record_when_done(monkeypatch, tmp_path):
+    from qcongruence import cli
+
+    real = cli._identity_trial
+    done = []
+
+    def dies_on_third(*args):
+        if len(done) == 2:
+            raise RuntimeError("trial died")
+        done.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_identity_trial", dies_on_third)
+    out = tmp_path / "identity.jsonl"
+    with pytest.raises(RuntimeError):
+        cli.main(["identity", "andrews", "--trials", "5", "--output", str(out)])
+    lines = out.read_text().splitlines()
+    assert [json.loads(line)["trial"] for line in lines] == [0, 1]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_nonpositive_jobs_is_usage_error(jobs):
+    proc = run_cli(*TINY_SWEEP, "--jobs", jobs)
+    assert proc.returncode == 2
+    assert "--jobs" in proc.stderr
+    assert proc.stdout == ""
+
+
 # command paths that must not reach the general gcd, with their exit codes
 GCD_FREE = ([(args, code) for args, code in EXIT_MATRIX if code == 0]
             + [(("identity", kind, "--trials", "1"), 0)

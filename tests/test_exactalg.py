@@ -1,6 +1,7 @@
 """Exact polynomial / rational function arithmetic and valuations."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from qcongruence.exactalg import (
     ratfunc_normalize,
     rational_p_valuation,
 )
+from qcongruence import exactalg
+from qcongruence.exactalg import _poly_phi_valuation
 
 
 def P(*coeffs):
@@ -335,6 +338,55 @@ def test_valuation_strips_to_zero():
 def test_valuation_additive(a, b, m):
     f, g = RatFunc(a), RatFunc(b)
     assert phi_valuation(f * g, m) == phi_valuation(f, m) + phi_valuation(g, m)
+
+
+def divmod_count(p, m):
+    """Multiplicity of Phi_m in p by repeated division by Phi_m itself."""
+    phi, count = cyclotomic(m), 0
+    while True:
+        quot, rem = p.divmod_monic(phi)
+        if not rem.is_zero:
+            return count
+        p, count = quot, count + 1
+
+
+def binomial(a):
+    return Poly((-1,) + (0,) * (a - 1) + (1,))  # q^a - 1
+
+
+@given(nonzero_polys, st.integers(1, 12),
+       st.lists(st.tuples(st.integers(1, 24), st.integers(0, 3)), max_size=3),
+       st.lists(st.integers(1, 12), max_size=3))
+def test_peeled_valuation_matches_repeated_division(g, m, cyclotomics, binomials):
+    p = g
+    for e, k in cyclotomics:
+        p = p * cyclotomic(e) ** k
+    for a in binomials:
+        p = p * binomial(a)
+    assert _poly_phi_valuation(p, m) == divmod_count(p, m)
+
+
+@given(st.integers(1, 12), st.integers(0, 2),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=24))
+def test_peeled_valuation_below_twice_the_index(m, j, coeffs):
+    # deg p < 2m: the quotient by q^m - 1 is shorter than the remainder
+    phi = cyclotomic(m)
+    j = min(j, (2 * m - 1) // phi.degree)
+    p = Poly(coeffs[:2 * m - j * phi.degree]) * phi ** j
+    if not p.is_zero:
+        assert _poly_phi_valuation(p, m) == divmod_count(p, m)
+
+
+@given(st.integers(2, 12), st.integers(1, 3), nonzero_polys)
+def test_peeled_valuation_finishes_by_division(m, j, g):
+    # g(1) != 0, so q^m - 1 does not divide p and the first remainder is
+    # non-zero, yet Phi_m divides it: the count ends in repeated division
+    if g.evaluate(1) == 0:
+        g = g + 1
+    p = g * cyclotomic(m) ** j
+    with mock.patch.object(exactalg, "_divide_out", wraps=exactalg._divide_out) as spy:
+        assert _poly_phi_valuation(p, m) == j + divmod_count(g, m)
+    assert spy.called
 
 
 def test_infinite_valuation_ordering():

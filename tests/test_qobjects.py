@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcongruence.exactalg import ONE, Poly, RatFunc, poly_gcd
 from qcongruence.exactalg import INFINITE, FactoredFraction, phi_valuation
@@ -17,6 +17,7 @@ from qcongruence.qobjects import (
     qsum,
     rising_factorial,
 )
+from qcongruence.hypergeom import _term_product, truncated_sum
 
 
 def expand(*binomials):
@@ -216,6 +217,56 @@ def build_terms(raw):
             neg.sign = -sign
             terms.append(neg)
     return terms
+
+
+def reference_qsum(terms):
+    """(num, factors, qshift) of the sum, every term expanded on its own
+    over the least common denominator by plain Poly products."""
+    live = [t for t in terms if not t.is_zero]
+    den = {}
+    for t in live:
+        for a, m in t.factors.items():
+            if m < 0:
+                den[a] = max(den.get(a, 0), -m)
+    qden = -min([0] + [t.qexp for t in live])
+    num = Poly()
+    for t in live:
+        p = Poly((t.sign,)).shifted(t.qexp + qden)
+        for a in set(den) | set(t.factors):
+            p = p * expand(a) ** (den.get(a, 0) + t.factors.get(a, 0))
+        num = num + p
+    return num, den, qden
+
+
+def assert_matches_reference(value, terms):
+    num, den, qden = reference_qsum(terms)
+    assert (value.num, value.factors, value.qshift) == (num, den, qden)
+
+
+@given(qproduct_lists, st.lists(st.integers(0, 6), max_size=2))
+@example([], [])
+@example([(1, 0, {}, False)], [])
+@example([(-1, 3, {4: -2, 6: 1}, False)], [0])
+@example([(1, 0, {1: 2, 3: -1}, False), (1, -2, {2: 1, 5: -2}, False),
+          (-1, 1, {7: 3}, False), (1, 4, {4: -1, 9: 1}, False)], [])
+def test_qsum_matches_per_term_expansion(raw, zeros):
+    # poles, negated twins, zero terms (inserted at the drawn positions),
+    # one term, no terms, and neighbours that share no factor
+    terms = build_terms(raw)
+    for i in zeros:
+        zero = QProduct().mul_one_minus_q(0)
+        zero.factors = {3: -2}
+        terms.insert(min(i, len(terms)), zero)
+    assert_matches_reference(qsum(terms), terms)
+
+
+@pytest.mark.parametrize("d,r", [(3, 1), (3, -3), (3, -9), (5, 1), (5, -5),
+                                 (5, -1), (7, 1), (7, -7), (7, -3)])
+def test_truncated_sum_matches_per_term_expansion(d, r):
+    # r = -d*j gives zero terms from k = j + 1 on
+    for upper in range(7):
+        terms = [_term_product(d, r, k) for k in range(upper + 1)]
+        assert_matches_reference(truncated_sum(d, r, upper), terms)
 
 
 ARITHMETIC = [
