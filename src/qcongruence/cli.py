@@ -6,7 +6,8 @@ human summary goes to stderr.  Records are byte-stable for a fixed seed:
 timings are reported on stderr only and the elapsed_ms field is always
 null, so reruns and different --jobs settings produce identical bytes.
 
-Exit codes: 0 success, 1 mathematical FAIL, 2 usage or hypothesis error.
+Exit codes: 0 success, 1 mathematical FAIL, 2 usage or hypothesis error,
+or stdout closed before the run finished.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import random
 import sys
 import time
@@ -305,7 +307,11 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            _emit(lines(pool.map(_sweep_worker, jobs)), args.output)
+            try:
+                _emit(lines(pool.map(_sweep_worker, jobs)), args.output)
+            finally:
+                # on an early exit (a closed stdout), drop the cases not started
+                pool.shutdown(cancel_futures=True)
     else:
         _emit(lines(map(_sweep_worker, jobs)), args.output)
     elapsed = time.perf_counter() - start
@@ -416,6 +422,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_ERROR
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout (say, `| head`); point stdout at devnull so
+        # the interpreter's final flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the run finished", file=sys.stderr)
         return EXIT_ERROR
 
 

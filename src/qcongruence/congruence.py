@@ -352,13 +352,15 @@ def oracle_check(f: Union[FactoredFraction, RatFunc, Poly, int], mod: Modulus) -
 
     For a ``FactoredFraction`` with e_m factors Phi_m in its denominator,
     one division per required index m decides whether Phi_m**(k_m + e_m)
-    divides the numerator; where it does not, a second division by
-    Phi_m**e_m tells a pole (ERROR, which wins over FAIL) from a shortfall
-    (FAIL).  Any other f is made canonical: a required Phi_m dividing the
-    denominator is an ERROR, and one division of the numerator by the
-    full modulus product decides PASS or FAIL.  Either way the oracle
-    divides the numerator that ``qsum`` expanded, so it checks the
-    valuation count, not the summation itself.
+    divides the numerator; where it does not, dividing the short remainder
+    R of that division by Phi_m**e_m tells a pole (ERROR, which wins over
+    FAIL) from a shortfall (FAIL): Phi_m**e_m divides Phi_m**(k_m + e_m),
+    so it divides the numerator exactly when it divides R.  Any other f
+    is made canonical: a required Phi_m dividing the denominator is an
+    ERROR, and one division of the numerator by the full modulus product
+    decides PASS or FAIL.  Either way the oracle divides the numerator
+    that ``qsum`` expanded, so it checks the valuation count, not the
+    summation itself.
     """
     if isinstance(f, FactoredFraction):
         if f.is_zero:
@@ -366,9 +368,10 @@ def oracle_check(f: Union[FactoredFraction, RatFunc, Poly, int], mod: Modulus) -
         status = CheckStatus.PASS
         for m, need in sorted(mod.parts.items()):
             phi, e = cyclotomic(m), f.den_multiplicity(m)
-            if f.num.divmod_monic(phi ** (need + e))[1].is_zero:
+            rem = f.num.divmod_monic(phi ** (need + e))[1]
+            if rem.is_zero:
                 continue
-            if e and not f.num.divmod_monic(phi ** e)[1].is_zero:
+            if e and not rem.divmod_monic(phi ** e)[1].is_zero:
                 return CheckStatus.ERROR
             status = CheckStatus.FAIL
         return status

@@ -16,7 +16,8 @@ Conventions used everywhere in this package:
   peeled off the numerator by additions), and ``+``, ``-`` and ``*``
   with a Poly, an int or another FactoredFraction keep it factored, with
   no general polynomial gcd; ``==`` and ``to_ratfunc`` build the canonical
-  form.
+  form from the same valuation counts, by one exact division of numerator
+  and denominator.
 * Values are immutable after construction and may be shared freely between
   threads.  The only shared state is the memo table behind ``cyclotomic``
   and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
@@ -578,32 +579,15 @@ INFINITE = InfiniteValuation()
 Valuation = Union[int, InfiniteValuation]
 
 
-def _divide_out(p: Poly, phi: Poly, cap: int | None = None) -> tuple[int, Poly]:
-    """Divide the monic factor phi out of p (p != 0) as often as it goes,
-    at most cap times: (multiplicity, cofactor)."""
+def _divide_out(p: Poly, phi: Poly) -> int:
+    """Multiplicity of the monic factor phi in p (p != 0), by repeated
+    division."""
     count = 0
-    probe = phi.evaluate(2)
-    use_probe = probe not in (-1, 0, 1)
-    while cap is None or count < cap:
-        # phi | p implies phi(2) | p(2): a cheap exact filter, by Horner mod phi(2)
-        if use_probe and _residue_at_2(p, probe):
-            break
+    while True:
         quot, rem = p.divmod_monic(phi)
         if not rem.is_zero:
-            break
-        p = quot
-        count += 1
-        if p.is_zero:
-            break
-    return count, p
-
-
-def _residue_at_2(p: Poly, modulus: int) -> int:
-    """p(2) mod modulus, without forming the bigint p(2)."""
-    acc = 0
-    for c in reversed(p.coeffs):
-        acc = (2 * acc + c) % modulus
-    return acc
+            return count
+        p, count = quot, count + 1
 
 
 def _poly_phi_valuation(p: Poly, m: int) -> int:
@@ -626,7 +610,7 @@ def _poly_phi_valuation(p: Poly, m: int) -> int:
     phi = cyclotomic(m)
     if Poly(rem).divmod_monic(phi)[1]:
         return count
-    return count + _divide_out(Poly(cs), phi)[0]
+    return count + _divide_out(Poly(cs), phi)
 
 
 def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> Valuation:
@@ -692,8 +676,10 @@ class FactoredFraction:
     numerator's, which ``_poly_phi_valuation`` counts.  ``+``, ``-`` and
     ``*`` with a Poly, an int or another FactoredFraction stay factored:
     a sum goes over the larger multiplicity of each factor and the larger
-    q-shift, a product adds both.  ``to_ratfunc`` reduces to the canonical RatFunc; ``==``
-    and arithmetic with a RatFunc go through it.
+    q-shift, a product adds both.  ``to_ratfunc`` reduces to the canonical
+    RatFunc by the same counts: it cancels each Phi_c as often as both
+    numerator and denominator hold it.  ``==`` and arithmetic with a
+    RatFunc go through it.
     """
 
     __slots__ = ("num", "factors", "qshift")
@@ -721,34 +707,24 @@ class FactoredFraction:
         return _poly_phi_valuation(self.num, m) - self.den_multiplicity(m)
 
     def to_ratfunc(self) -> RatFunc:
-        """The canonical RatFunc: cancel the cyclotomic factors of the
-        denominator from the numerator, then the common power of q."""
+        """The canonical RatFunc.  Numerator and expanded denominator are
+        each divided once by prod Phi_c**v_c, where v_c is the smaller of
+        the two multiplicities of Phi_c; then the common power of q goes.
+        The denominator is a product of monic binomials and q, so what is
+        left of it is monic and coprime to the numerator."""
         num = self.num
         if num.is_zero:
             return RATFUNC_ZERO
-        den_cyc: dict[int, int] = {}
-        for a, m in self.factors.items():
-            for c in divisors(a):
-                den_cyc[c] = den_cyc.get(c, 0) + m
-        cancelled: dict[int, int] = {}
-        for c in sorted(den_cyc):
-            v, num = _divide_out(num, cyclotomic(c), cap=den_cyc[c])
+        common = ONE
+        for c in {c for a in self.factors for c in divisors(a)}:
+            v = min(self.den_multiplicity(c), _poly_phi_valuation(num, c))
             if v:
-                cancelled[c] = v
-        low, num = num.split_monomial()
-        qstrip = min(low, self.qshift)
-        if low > qstrip:
-            num = num.shifted(low - qstrip)
-
-        den = Poly(_expand_factors(self.factors))
-        for c, v in cancelled.items():
-            phi = cyclotomic(c)
-            for _ in range(v):
-                den = den.divmod_monic(phi)[0]
-        den = den.shifted(self.qshift - qstrip)
-        if den.lead < 0:
-            num, den = -num, -den
-        return RatFunc._from_canonical(num, den)
+                common = common * cyclotomic(c) ** v
+        num = num.div_exact(common)
+        den = Poly(_expand_factors(self.factors)).div_exact(common)
+        qstrip = min(num.split_monomial()[0], self.qshift)
+        return RatFunc._from_canonical(Poly(num.coeffs[qstrip:]),
+                                       den.shifted(self.qshift - qstrip))
 
     def evaluate(self, t) -> Fraction:
         """Exact value at q = t; raises ZeroDivisionError on a pole."""

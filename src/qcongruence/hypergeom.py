@@ -201,8 +201,8 @@ def theorem_sum(case: TheoremCase) -> FactoredFraction:
 
 def _vwp_term(alpha: int, bc: Sequence[int], N: int, w: int, base: int, k: int) -> QProduct:
     t = QProduct()
-    t.mul_one_minus_q(alpha + 2 * base * k, 1, "very-well-poised numerator pair")
-    t.mul_one_minus_q(alpha, -1, "very-well-poised denominator pair (a = 1)")
+    t.mul_one_minus_q(alpha + 2 * base * k, 1)
+    t.mul_one_minus_q(alpha, -1)
     t.mul_pochhammer(QPochSpec(alpha, base, k))
     t.mul_pochhammer(QPochSpec(base, base, k), -1)
     for e in bc:
@@ -338,7 +338,7 @@ def watson_pair(a: int, b: int, c: int, d: int, e: int,
         t.mul_pochhammer(QPochSpec(a + 1 - c, 1, j), -1)
         t.mul_pochhammer(QPochSpec(d + e - N - a, 1, j), -1)
         t.mul_qpow(j)
-        t.mul(pre.copy())
+        t.mul(pre)
         terms.append(t)
     rhs = qsum(terms)
     return lhs, rhs

@@ -99,14 +99,13 @@ class QProduct:
         out.is_zero = self.is_zero
         return out
 
-    def mul_one_minus_q(self, e: int, power: int = 1, context: str = "") -> "QProduct":
+    def mul_one_minus_q(self, e: int, power: int = 1) -> "QProduct":
         """Multiply by (1 - q**e)**power."""
         if power == 0:
             return self
         if e == 0:
             if power < 0:
-                what = context or f"(1 - q^0)^{power}"
-                raise VanishingDenominator(f"vanishing denominator: {what}")
+                raise VanishingDenominator(f"vanishing denominator: (1 - q^0)^{power}")
             self.is_zero = True
             return self
         a = abs(e)
@@ -127,8 +126,11 @@ class QProduct:
         return self
 
     def mul_pochhammer(self, spec: QPochSpec, power: int = 1) -> "QProduct":
-        for e in spec.factor_exponents():
-            self.mul_one_minus_q(e, power, context=f"{spec}^{power}")
+        exponents = spec.factor_exponents()
+        if power < 0 and 0 in exponents:
+            raise VanishingDenominator(f"vanishing denominator: {spec}^{power}")
+        for e in exponents:
+            self.mul_one_minus_q(e, power)
         return self
 
     def mul(self, other: "QProduct") -> "QProduct":

@@ -5,11 +5,13 @@ equalities of canonical rational functions).
 
 Criteria 1-3 assert the stated [n]-profiles for every grid case.  A small,
 fully characterised set of composite-n cases genuinely misses the profile
-at proper divisor indices: exact computation, confirmed by independent
-evaluation at roots of unity, shows those valuations are zero (for example
-the (d=5, r=1, n=9) sum has Phi_3-valuation 0 at both truncations).  The
-assertions are kept as stated and fail honestly rather than being
-weakened; every deviation is listed in the failure message.  The
+at proper divisor indices: exact computation shows those valuations are
+zero (for example the (d=5, r=1, n=9) sum has Phi_3-valuation 0 at both
+truncations), and at every proper divisor m the sum is divisible by
+Phi_m exactly when lemma 3's short sum at index m is.  The oracle that
+agrees divides the same expanded numerator, so it is not an independent
+evaluation.  The assertions are kept as stated and fail honestly rather
+than being weakened; every deviation is listed in the failure message.  The
 cyclotomic-power part at index n passes in every single case, at or above
 its target.
 """
@@ -46,6 +48,7 @@ from qcongruence.hypergeom import (
     proof_decomposition,
     sample_until_valid,
     theorem_sum,
+    truncated_sum,
     watson_pair,
 )
 from qcongruence.congruence import (
@@ -127,6 +130,23 @@ def test_criterion_3_conjecture_evidence():
                 if rep.status is not CheckStatus.PASS:
                     failures.append((rep.description, rep.valuations.achieved))
     verdict(3, "conjecture evidence for d = 5", failures)
+
+
+def test_divisor_indices_follow_lemma3():
+    # at a proper divisor m of n the sum splits into blocks of m terms, and
+    # Phi_m divides it exactly when it divides lemma 3's sum up to the solved
+    # index j0, d*j0 = -r (mod m)
+    checks = 0
+    for variant in Variant:
+        for case in two_smallest_grid(variant):
+            total = theorem_sum(case)
+            for m in divisors(case.n)[1:-1]:
+                j0 = (-case.r * pow(case.d, -1, m)) % m
+                block = truncated_sum(case.d, case.r, j0)
+                assert (phi_valuation(total, m) >= 1) == (phi_valuation(block, m) >= 1), \
+                    (case.describe(), m)
+                checks += 1
+    assert checks == 66
 
 
 def test_criterion_4_d3_regression():

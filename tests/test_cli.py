@@ -328,3 +328,26 @@ def test_commands_never_need_a_general_gcd(monkeypatch, args, code):
 
     monkeypatch.setattr(exactalg, "poly_gcd", forbidden)
     assert cli.main(list(args)) == code
+
+
+@pytest.mark.parametrize("args", [
+    ("identity", "andrews", "--trials", "50"),
+    ("sweep", "--theorem", "thm1", "--d-max", "9", "--n-max", "40", "--jobs", "2"),
+], ids=" ".join)
+def test_closed_stdout_exits_2(args, tmp_path):
+    # the reader stops after one line: one stderr line and exit 2, no
+    # traceback; the sweep drops its pending cases instead of finishing a
+    # grid that takes far longer than the timeout
+    err_path = tmp_path / "stderr"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "qcongruence", *args],
+                                stdout=subprocess.PIPE, stderr=err, text=True,
+                                env=dict(os.environ, PYTHONPATH=SRC))
+        try:
+            proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=20)
+        finally:
+            proc.kill()
+    assert code == 2
+    assert err_path.read_text().splitlines() == ["error: stdout closed before the run finished"]

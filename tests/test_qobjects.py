@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qcongruence.exactalg import ONE, Poly, RatFunc, poly_gcd
+from qcongruence.exactalg import ONE, Poly, RatFunc, _expand_factors, poly_gcd
 from qcongruence.exactalg import INFINITE, FactoredFraction, phi_valuation
 from qcongruence.qobjects import (
     QPochSpec,
@@ -55,7 +55,7 @@ def test_poch_product_examples():
     ref = RatFunc(Poly((1, -1)) ** 5, Poly((1, 0, 0, 0, 0, -1)) ** 5)
     assert got == ref
     assert q_poch_product([]) == RatFunc(1)
-    with pytest.raises(VanishingDenominator):
+    with pytest.raises(VanishingDenominator, match=r"\(q\^0; q\^1\)_1\^-1"):
         q_poch_product([(QPochSpec(0, 1, 1), -1)])
 
 
@@ -186,6 +186,9 @@ def test_qsum_valuations_match_canonical_form(raw):
             terms.append(neg)
     value = qsum(terms)
     canonical = value.to_ratfunc()
+    # the reference: the general (PRS gcd) reduction of the unreduced value
+    reference = RatFunc(value.num, Poly(_expand_factors(value.factors)).shifted(value.qshift))
+    assert (canonical.num, canonical.den) == (reference.num, reference.den)
     assert value.is_zero == canonical.is_zero
     for m in range(1, 13):
         assert value.valuation(m) == phi_valuation(canonical, m)
