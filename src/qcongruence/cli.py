@@ -65,6 +65,8 @@ SWEEP_N_MAX = 40
 # verify kinds that accept --power and --oracle
 POWER_KINDS = ("thm1", "thm2")
 ORACLE_KINDS = ("thm1", "thm2", "conj1", "conj2", "conj3", "lemma3")
+ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
+               "of unity in F_p; a disagreement exits 2")
 
 
 def _json_valuation(v) -> object:
@@ -135,8 +137,8 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
         if args.power is None:
             return check_theorem(case, oracle=args.oracle), _case_fields(case)
         mod = q_integer_modulus(case.n, args.power)
-        report = check_sum(lambda: theorem_sum(case), mod, case.describe(),
-                           case.upper_bound + 1, args.oracle)
+        report = check_sum(lambda: theorem_sum(case), (case.d, case.r, case.upper_bound),
+                           mod, case.describe(), args.oracle)
         return report, _case_fields(case)
     if kind in ("conj1", "conj2", "conj3"):
         r = args.r if args.r is not None else (1 if kind == "conj1" else -1)
@@ -353,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--trunc", choices=["upper", "full"], default="upper")
     ver.add_argument("--power", type=int, default=None,
                      help="override the cyclotomic power of the modulus")
-    ver.add_argument("--oracle", action="store_true",
-                     help="cross-check with the brute-force divisibility oracle")
+    ver.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=cmd_verify)
@@ -379,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--r-max", type=int, default=7)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--oracle", action="store_true")
+    sweep.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
     sweep.add_argument("--output", default=None)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -1,5 +1,6 @@
 """Congruence certification: valuation profiles for moduli built from
-q-integers and cyclotomic powers, case checkers, and the p-adic check.
+q-integers and cyclotomic powers, case checkers, the p-adic check, and an
+oracle that reads orders at a root of unity in F_p.
 
 A modulus like [n] * Phi_n(q)**k is a finite valuation profile: since
 [n] factors as the product of Phi_m over the divisors m > 1 of n, the
@@ -12,12 +13,14 @@ a required index is an ERROR, distinct from FAIL.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
+from itertools import islice
+from typing import Callable, Iterator, Sequence, Union
 
 from .exactalg import (
     INFINITE,
@@ -39,6 +42,7 @@ from .hypergeom import (
     Variant,
     theorem_sum,
     truncated_sum,
+    truncated_terms,
 )
 
 __all__ = [
@@ -170,26 +174,31 @@ def _elapsed_ms(start: float) -> float:
     return (time.perf_counter() - start) * 1000.0
 
 
-def check_sum(total: Callable[[], FactoredFraction], mod: Modulus, description: str,
-              term_count: int, oracle: bool = False) -> CheckReport:
+def check_sum(total: Callable[[], FactoredFraction], shape: tuple[int, int, int],
+              mod: Modulus, description: str, oracle: bool = False) -> CheckReport:
     """The check pipeline shared by every truncated-sum checker: compute
-    ``total()``, compare it against the modulus profile, time both steps,
-    and add the brute-force oracle verdict when asked."""
+    ``total()``, which is ``truncated_sum(*shape)``, compare it against the
+    modulus profile, and time both steps.  When asked, the oracle walks the
+    terms of the same sum, ``truncated_terms(*shape)``, at a root of unity
+    in F_p and adds its verdict."""
     start = time.perf_counter()
-    s = total()
-    report = check_congruence(s, mod, description, term_count)
+    report = check_congruence(total(), mod, description, shape[2] + 1)
     report.elapsed_ms = _elapsed_ms(start)
     if oracle:
-        report.oracle_status = oracle_check(s, mod)
+        report.oracle_status = oracle_check(truncated_terms(*shape), mod)
     return report
+
+
+def _shape(case: TheoremCase) -> tuple[int, int, int]:
+    return case.d, case.r, case.upper_bound
 
 
 def check_theorem(case: TheoremCase, oracle: bool = False) -> CheckReport:
     """Check the case's sum against its stated modulus profile:
     [n]*Phi_n**2 for the first family, [n]*Phi_n for the second."""
     power = 2 if case.variant is Variant.THM1 else 1
-    return check_sum(lambda: theorem_sum(case), q_integer_modulus(case.n, power),
-                     case.describe(), case.upper_bound + 1, oracle)
+    return check_sum(lambda: theorem_sum(case), _shape(case),
+                     q_integer_modulus(case.n, power), case.describe(), oracle)
 
 
 def check_conjecture(case: TheoremCase, which: Conjecture,
@@ -210,15 +219,16 @@ def check_conjecture(case: TheoremCase, which: Conjecture,
         mod = q_integer_modulus(case.n, 3)
     else:
         mod = phi_modulus(case.n, 3 if case.variant is Variant.THM1 else 4)
-    return check_sum(lambda: theorem_sum(case), mod, f"{which.value} {case.describe()}",
-                     case.upper_bound + 1, oracle)
+    return check_sum(lambda: theorem_sum(case), _shape(case), mod,
+                     f"{which.value} {case.describe()}", oracle)
 
 
 def legacy_check(d: int, r: int, n: int, phi_power: int) -> CheckReport:
     """Check the full sum (k = 0..n-1) for any odd d >= 3 against a bare
     Phi_n**power profile; used for the d = 3 regression families."""
-    return check_sum(lambda: truncated_sum(d, r, n - 1), phi_modulus(n, phi_power),
-                     f"legacy(d={d}, r={r}, n={n}) mod Phi_{n}^{phi_power}", n)
+    return check_sum(lambda: truncated_sum(d, r, n - 1), (d, r, n - 1),
+                     phi_modulus(n, phi_power),
+                     f"legacy(d={d}, r={r}, n={n}) mod Phi_{n}^{phi_power}")
 
 
 def check_lemma3(d: int, r: int, n: int,
@@ -243,8 +253,8 @@ def check_lemma3(d: int, r: int, n: int,
     m_solved = (-r * pow(d, -1, n)) % n if n > 1 else 0
     upper = m_solved if truncation is Truncation.M_SOLVED else max(n - 1, 0)
     mod = q_integer_modulus(n, 0) if n > 1 else Modulus({})
-    return check_sum(lambda: truncated_sum(d, r, upper), mod,
-                     f"lemma3(d={d}, r={r}, n={n}, m={upper})", upper + 1, oracle)
+    return check_sum(lambda: truncated_sum(d, r, upper), (d, r, upper), mod,
+                     f"lemma3(d={d}, r={r}, n={n}, m={upper})", oracle)
 
 
 def check_lemma4(d: int, r: int, n: int) -> bool:
@@ -281,6 +291,8 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         raise InvalidCase(["k_max must be non-negative"])
     if d < 1:
         raise InvalidCase(["d must be a positive integer"])
+    if n < 1:
+        raise InvalidCase(["n must be a positive integer"])
     start = time.perf_counter()
     mod = phi_modulus(n, 2)
     worst: Valuation = INFINITE
@@ -346,43 +358,186 @@ def enumerate_cases(
     return out
 
 
-def oracle_check(f: Union[FactoredFraction, RatFunc, Poly, int], mod: Modulus) -> CheckStatus:
-    """Brute-force verdict by exact divisibility, without counting
-    valuations.
+# ---------------------------------------------------------------------------
+# the oracle: orders at a root of unity in F_p
 
-    For a ``FactoredFraction`` with e_m factors Phi_m in its denominator,
-    one division per required index m decides whether Phi_m**(k_m + e_m)
-    divides the numerator; where it does not, dividing the short remainder
-    R of that division by Phi_m**e_m tells a pole (ERROR, which wins over
-    FAIL) from a shortfall (FAIL): Phi_m**e_m divides Phi_m**(k_m + e_m),
-    so it divides the numerator exactly when it divides R.  Any other f
-    is made canonical: a required Phi_m dividing the denominator is an
-    ERROR, and one division of the numerator by the full modulus product
-    decides PASS or FAIL.  Either way the oracle divides the numerator
-    that ``qsum`` expanded, so it checks the valuation count, not the
-    summation itself.
+# deterministic Miller-Rabin bases for every n below 3.3 * 10**24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _fp_root(m: int) -> tuple[int, int]:
+    """(p, zeta): the smallest prime p = 1 (mod m) above 2**61, and an
+    element zeta of exact order m in F_p."""
+    p = ((2 ** 61 - 1) // m + 1) * m + 1
+    while not _is_prime(p):
+        p += m
+    primes = [l for l in range(2, m + 1) if m % l == 0 and _is_prime(l)]
+    g = 2
+    while True:
+        zeta = pow(g, (p - 1) // m, p)
+        if all(pow(zeta, m // l, p) != 1 for l in primes):
+            return p, zeta
+        g += 1
+
+
+def _series_mul(f: list[int], g: list[int], p: int) -> list[int]:
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) % p for n in range(len(f))]
+
+
+def _series_pow(f: list[int], alpha: int, p: int) -> list[int]:
+    """f**alpha to the precision of f, for f(0) != 0 and any integer alpha,
+    by Miller's recurrence n f0 g_n = sum_k ((alpha + 1) k - n) f_k g_(n-k)."""
+    if alpha == 1:
+        return f
+    inv_f0 = pow(f[0], -1, p)
+    g = [pow(f[0], alpha, p)]
+    for n in range(1, len(f)):
+        acc = sum(((alpha + 1) * k - n) * f[k] * g[n - k] for k in range(1, n + 1))
+        g.append(acc % p * inv_f0 % p * pow(n, -1, p) % p)
+    return g
+
+
+def _binomial_series(a: int, m: int, zeta: int, p: int, prec: int) -> list[int]:
+    """(q**a - 1) at q = zeta + eps, mod eps**prec, divided by eps when m | a
+    (then it vanishes once at eps = 0); a = 0 stands for q itself."""
+    if a == 0:
+        return ([zeta, 1] + [0] * prec)[:prec]
+    drop = 1 if a % m == 0 else 0
+    inv_zeta = pow(zeta, -1, p)
+    coeffs, c = [], pow(zeta, a, p)         # c = C(a, j) zeta**(a - j)
+    for j in range(prec + drop):
+        if j:
+            c = c * (a - j + 1) % p * pow(j, -1, p) % p * inv_zeta % p
+        coeffs.append(c)
+    coeffs[0] -= 1
+    return coeffs[drop:]
+
+
+def _zeta_order(factors: dict[int, int], m: int) -> int:
+    """Order at zeta of prod (q**a - 1)**e: each factor with m | a vanishes
+    there once."""
+    return sum(e for a, e in factors.items() if a % m == 0)
+
+
+def _walk_terms(terms: list[QProduct], m: int, need: int, zeta: int,
+                p: int) -> tuple[int, list[int]]:
+    """(low, s): the sum of the terms at q = zeta + eps is eps**low * s, mod
+    eps**need.
+
+    A term with factor map e is eps**v times a unit, v the sum of e[a] over
+    the a that m divides, so low is exact.  The walk carries the unit from
+    term to term, multiplying in only the factors whose exponent changed.
     """
+    live = [t for t in terms if not t.is_zero]
+    orders = [_zeta_order(t.factors, m) for t in live]
+    low = min(orders, default=need)
+    prec = need - low
+    if prec <= 0:
+        return low, []
+    cache: dict[int, list[int]] = {}
+
+    def factor(a: int) -> list[int]:
+        if a not in cache:
+            cache[a] = _binomial_series(a, m, zeta, p, prec)
+        return cache[a]
+
+    total = [0] * prec
+    unit = [1] + [0] * (prec - 1)
+    have: dict[int, int] = {}               # the exponents in unit; 0 is q
+    for t, v in zip(live, orders):
+        want = {**t.factors, 0: t.qexp}
+        for a in want.keys() | have.keys():
+            delta = want.get(a, 0) - have.get(a, 0)
+            if delta:
+                unit = _series_mul(unit, _series_pow(factor(a), delta, p), p)
+        have = want
+        for j in range(prec - (v - low)):
+            total[v - low + j] += t.sign * unit[j]
+    return low, total
+
+
+def _taylor(coeffs: tuple[int, ...], zeta: int, p: int) -> Iterator[int]:
+    """The coefficients of c(zeta + eps) mod p, low to high: each is the
+    remainder of one more synthetic division by q - zeta."""
+    cs = [c % p for c in coeffs]
+    while cs:
+        acc, quot = 0, []
+        for c in reversed(cs):
+            acc = (acc * zeta + c) % p
+            quot.append(acc)
+        yield quot.pop()
+        cs = quot[::-1]
+
+
+def _value_series(f: Union[FactoredFraction, RatFunc], m: int, need: int, zeta: int,
+                  p: int) -> tuple[int, list[int]]:
+    """(low, s) as ``_walk_terms`` gives it, for a value: low is minus the
+    order of the denominator at zeta, s the numerator's Taylor series (the
+    denominator's unit changes no order)."""
     if isinstance(f, FactoredFraction):
-        if f.is_zero:
-            return CheckStatus.PASS
-        status = CheckStatus.PASS
-        for m, need in sorted(mod.parts.items()):
-            phi, e = cyclotomic(m), f.den_multiplicity(m)
-            rem = f.num.divmod_monic(phi ** (need + e))[1]
-            if rem.is_zero:
-                continue
-            if e and not rem.divmod_monic(phi ** e)[1].is_zero:
-                return CheckStatus.ERROR
-            status = CheckStatus.FAIL
-        return status
+        low = -_zeta_order(f.factors, m)
+    else:
+        low = -next(j for j, c in enumerate(_taylor(f.den.coeffs, zeta, p)) if c)
+    return low, list(islice(_taylor(f.num.coeffs, zeta, p), need - low))
+
+
+def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc, Poly, int],
+                 mod: Modulus) -> CheckStatus:
+    """Verdict from the order of f at a root of unity in F_p, a route that
+    shares no code with the summation or the valuation count.
+
+    For each required index m, q = zeta + eps with zeta of exact order m in
+    F_p (``_fp_root``): Phi_m has the simple root zeta there, and every
+    (q**a - 1) vanishes at zeta exactly when m | a.  A list of ``QProduct``
+    terms is walked term by term (``_walk_terms``); a value has its
+    numerator, and a RatFunc its denominator, expanded at zeta by Taylor
+    shift (``_value_series``).  The first non-zero coefficient of the
+    series gives the order; a negative order is a pole (ERROR, which wins),
+    one below the requirement a FAIL.
+
+    Every denominator here is a product of cyclotomic factors and a power
+    of q, so its order at zeta is exactly its Phi_m-valuation, and the
+    order of f is never below the valuation over Z.  A FAIL or an ERROR is
+    therefore exact; a PASS is a cross-check that is wrong only when the
+    Phi_m-free part of the numerator also vanishes at zeta mod p, which has
+    probability about deg/p with p > 2**61.
+    """
     if isinstance(f, (Poly, int)):
         f = RatFunc(f)
-    if f.is_zero:
-        return CheckStatus.PASS
-    for m in sorted(mod.parts):
-        quot, rem = f.den.divmod_monic(cyclotomic(m))
-        if rem.is_zero:
+    if isinstance(f, (FactoredFraction, RatFunc)):
+        series_at = _value_series
+    else:
+        f, series_at = list(f), _walk_terms
+    status = CheckStatus.PASS
+    for m, need in sorted(mod.parts.items()):
+        p, zeta = _fp_root(m)
+        low, series = series_at(f, m, need, zeta, p)
+        order = next((low + j for j, c in enumerate(series) if c % p), need)
+        if order < 0:
             return CheckStatus.ERROR
-    product = mod.polynomial()
-    quot, rem = f.num.divmod_monic(product)
-    return CheckStatus.PASS if rem.is_zero else CheckStatus.FAIL
+        if order < need:
+            status = CheckStatus.FAIL
+    return status

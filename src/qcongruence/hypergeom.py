@@ -55,6 +55,7 @@ __all__ = [
     "theorem_sum",
     "theorem_term",
     "truncated_sum",
+    "truncated_terms",
     "watson_pair",
 ]
 
@@ -177,6 +178,14 @@ def theorem_term(case: TheoremCase, k: int) -> RatFunc:
     return _term_product(case.d, case.r, k).to_ratfunc()
 
 
+def truncated_terms(d: int, r: int, upper: int) -> list[QProduct]:
+    """The summands of ``truncated_sum(d, r, upper)``, k = 0..upper."""
+    _check_sum_shape(d, r)
+    if upper < 0:
+        raise ValueError("upper bound must be non-negative")
+    return [_term_product(d, r, k) for k in range(upper + 1)]
+
+
 def truncated_sum(d: int, r: int, upper: int) -> FactoredFraction:
     """sum_{k=0}^{upper} [2dk+r] (q^r;q^d)_k^d / (q^d;q^d)_k^d q^(d(d-r-2)k/2).
 
@@ -184,10 +193,7 @@ def truncated_sum(d: int, r: int, upper: int) -> FactoredFraction:
     q-power being integral, so excluded families (for example d = 3) can
     still be evaluated for regression checks.
     """
-    _check_sum_shape(d, r)
-    if upper < 0:
-        raise ValueError("upper bound must be non-negative")
-    return qsum(_term_product(d, r, k) for k in range(upper + 1))
+    return qsum(truncated_terms(d, r, upper))
 
 
 def theorem_sum(case: TheoremCase) -> FactoredFraction:

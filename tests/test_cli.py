@@ -235,6 +235,14 @@ def test_output_into_missing_directory_fails_before_any_sum(monkeypatch, capsys,
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_modsquare_nonpositive_n_names_n(n):
+    proc = run_cli("verify", "modsquare", "--alpha", "1", "--r", "1", "--n", n, "--d", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == ["hypothesis violated: n must be a positive integer"]
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_identity_nonpositive_trials_is_usage_error(trials):
     proc = run_cli("identity", "andrews", "--trials", trials)

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from qcongruence import congruence, exactalg, hypergeom, qobjects
+from qcongruence.congruence import _MR_BASES, _fp_root
 from qcongruence.exactalg import INFINITE, Poly, RatFunc, cyclotomic
-from qcongruence.hypergeom import InvalidCase, TheoremCase, Truncation, Variant, theorem_sum
+from qcongruence.hypergeom import (InvalidCase, TheoremCase, Truncation, Variant, theorem_sum,
+                                   truncated_terms)
 from qcongruence.qobjects import QProduct, qsum, rising_factorial
 from qcongruence.congruence import (
     CheckStatus,
@@ -343,3 +347,84 @@ def test_oracle_factored_route_agrees_with_canonical(total, mod, verdict):
     value = total()
     assert oracle_check(value, mod) is verdict
     assert oracle_check(value.to_ratfunc(), mod) is verdict
+
+
+# ---------------------------------------------------------------------------
+# the F_p route of the oracle
+
+
+def _prime_factors(n):
+    return [l for l in range(2, n + 1) if n % l == 0 and all(l % k for k in range(2, l))]
+
+
+def test_fp_field_choice():
+    for m in range(1, 61):
+        p, zeta = _fp_root(m)
+        assert p > 2 ** 61 and (p - 1) % m == 0
+        # a witness-free primality check: Fermat to many bases, and no small factor
+        assert all(pow(b, p - 1, p) == 1 for b in range(2, 60))
+        assert all(p % k for k in range(2, 10 ** 4))
+        assert pow(zeta, m, p) == 1
+        assert all(pow(zeta, m // l, p) != 1 for l in _prime_factors(m))
+        assert _fp_root(m) == (p, zeta)
+        # smallest such prime: no candidate below it passes the bases' test
+        for below in range(p - m, 2 ** 61, -m):
+            assert any(pow(b, below - 1, below) != 1 for b in _MR_BASES) \
+                or any(below % b == 0 for b in _MR_BASES)
+
+
+def _terms(raw):
+    terms = []
+    for sign, qexp, factors, twin in raw:
+        t = QProduct()
+        t.sign = sign
+        t.qexp = qexp
+        t.factors = {a: m for a, m in factors.items() if m}
+        terms.append(t)
+        if twin:
+            neg = t.copy()
+            neg.sign = -sign
+            terms.append(neg)
+    return terms
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from([-1, 1]), st.integers(-4, 4),
+              st.dictionaries(st.integers(1, 12), st.integers(-3, 3), max_size=4),
+              st.booleans()),
+    max_size=5,
+), st.integers(1, 3))
+def test_oracle_terms_agree_with_values_and_valuations(raw, power):
+    # poles, negated twins and zero sums, as in the qsum valuation property
+    terms = _terms(raw)
+    value = qsum(terms)
+    canonical = value.to_ratfunc()
+    for m in range(1, 13):
+        mod = phi_modulus(m, power)
+        verdict = oracle_check(terms, mod)
+        assert oracle_check(value, mod) is verdict
+        assert oracle_check(canonical, mod) is verdict
+        assert check_congruence(value, mod).status is verdict
+
+
+def _criterion_8_grid():
+    cases = (enumerate_cases(Variant.THM1, 5, 14, (-5, 1))
+             + enumerate_cases(Variant.THM2, 5, 14, (-5, 1)))
+    return [(truncated_terms(c.d, c.r, c.upper_bound),
+             q_integer_modulus(c.n, 2 if c.variant is Variant.THM1 else 1),
+             c) for c in cases]
+
+
+def test_oracle_shares_no_code_with_the_engine(monkeypatch):
+    grid = _criterion_8_grid()
+    expected = [check_congruence(theorem_sum(case), mod).status for _, mod, case in grid]
+    assert {CheckStatus.PASS, CheckStatus.FAIL} <= set(expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle called into the engine")
+
+    for owner, name in [(qobjects, "qsum"), (hypergeom, "qsum"), (congruence, "qsum"),
+                        (exactalg.Poly, "divmod_monic"), (exactalg, "_poly_phi_valuation"),
+                        (exactalg, "cyclotomic"), (congruence, "cyclotomic")]:
+        monkeypatch.setattr(owner, name, forbidden)
+    assert [oracle_check(terms, mod) for terms, mod, _ in grid] == expected
