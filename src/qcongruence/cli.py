@@ -65,6 +65,8 @@ SWEEP_N_MAX = 40
 # verify kinds that accept --power and --oracle
 POWER_KINDS = ("thm1", "thm2")
 ORACLE_KINDS = ("thm1", "thm2", "conj1", "conj2", "conj3", "lemma3")
+# the fewest parameter pairs (--m) each identity kind that takes them needs
+IDENTITY_M_MIN = {"andrews": 2, "gasper-km": 1, "multi-km": 2}
 ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
                "of unity in F_p; a disagreement exits 2")
 
@@ -173,7 +175,7 @@ def cmd_verify(args) -> int:
     rec = _report_record(f"verify {args.kind}", fields, report, args.seed)
     _emit([json.dumps(rec)], args.output)
     print(f"{report.description or args.kind}: {report.status.value} "
-          f"({report.elapsed_ms:.0f} ms)", file=sys.stderr)
+          f"({report.elapsed_ms:.1f} ms)", file=sys.stderr)
     if report.oracle_status is not None and report.oracle_status != report.status:
         print("oracle verdict disagrees with valuation verdict", file=sys.stderr)
         return EXIT_ERROR
@@ -206,7 +208,7 @@ def _identity_trial(kind: str, rng: random.Random, m: int, order: int | None):
     if kind == "multi-km":
         return sample_until_valid(
             rng,
-            lambda rg: draw_km_params(rg, max(m, 2), N=order),
+            lambda rg: draw_km_params(rg, m, N=order),
             lambda p: multi_km_sum(p).is_zero,
         )
     raise ValueError(f"unknown identity kind {kind!r}")
@@ -288,6 +290,10 @@ def cmd_sweep(args) -> int:
         return EXIT_ERROR
     r_range = (args.r_min, args.r_max)
     cases = _sweep_cases(kind, args.d_max, args.n_max, r_range)
+    if not cases:
+        print(f"sweep {kind}: no case has d <= {args.d_max}, n <= {args.n_max} "
+              f"and {args.r_min} <= r <= {args.r_max}", file=sys.stderr)
+        return EXIT_ERROR
     # the header echoes the grid and seed, never --jobs or --output, so
     # output bytes do not depend on them
     header = json.dumps({"command": f"sweep {kind}",
@@ -387,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None):
+    """Parsed arguments; a flag that does not compose is a parser error."""
     args = parser.parse_args(argv)
     required = {
         "thm1": ("r", "n"), "thm2": ("r", "n"),
@@ -401,12 +407,27 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error(f"verify {args.kind} requires --{name}")
         if args.power is not None and args.kind not in POWER_KINDS:
             parser.error(f"--power does not apply to verify {args.kind}")
+        if args.power is not None and args.power < 0:
+            parser.error("--power must be at least 0")
         if args.oracle and args.kind not in ORACLE_KINDS:
             parser.error(f"--oracle does not apply to verify {args.kind}")
     if args.command == "identity" and args.trials < 1:
         parser.error("--trials must be at least 1")
+    if (args.command == "identity" and args.kind in IDENTITY_M_MIN
+            and args.m < IDENTITY_M_MIN[args.kind]):
+        parser.error(f"identity {args.kind} needs --m at least {IDENTITY_M_MIN[args.kind]}")
     if args.command == "sweep" and args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    return args
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = _parse_args(parser, argv)
+    except SystemExit as exc:
+        # a usage error (or --help) is an exit code like any other outcome
+        return exc.code
     if args.output:
         # fail before any sum, not after the whole run
         try:

@@ -18,6 +18,14 @@ Conventions used everywhere in this package:
   no general polynomial gcd; ``==`` and ``to_ratfunc`` build the canonical
   form from the same valuation counts, by one exact division of numerator
   and denominator.
+* Inside the summation kernel a polynomial P is packed into one int, P(2**B)
+  for a slot width B of whole bytes (``_mul_packed``, ``_div_packed``,
+  ``_unpack``).  Evaluation at 2**B is a ring homomorphism, so products by
+  q**a - 1 (a shift and a subtraction), sums and exact quotients by q**a - 1
+  (shifts and additions) of packed ints are the packed results, however
+  large the coefficients grow on the way.  Only a polynomial that is
+  unpacked needs every |coefficient| < 2**(B - 1); its caller picks B from
+  the 1-norm bound ||prod (q**a - 1)**e[a]||_1 <= 2**sum(e.values()).
 * Values are immutable after construction and may be shared freely between
   threads.  The only shared state is the memo table behind ``cyclotomic``
   and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 __all__ = [
     "ExactDivisionError",
@@ -633,17 +641,6 @@ def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> V
 # Factored fractions
 
 
-def _mul_binomial(cs: list[int], a: int) -> list[int]:
-    """Multiply a coefficient list by (q**a - 1)."""
-    n = len(cs)
-    if a >= n:
-        return [-c for c in cs] + [0] * (a - n) + cs
-    head = [-c for c in cs[:a]]
-    mid = [x - y for x, y in zip(cs, cs[a:])]
-    tail = list(cs[n - a:])
-    return head + mid + tail
-
-
 def _div_binomial(cs: list[int], a: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a coefficient list by (q**a - 1).
 
@@ -657,13 +654,69 @@ def _div_binomial(cs: list[int], a: int) -> tuple[list[int], list[int]]:
     return quot, rem
 
 
-def _expand_factors(factors: dict[int, int], start: Sequence[int] = (1,)) -> list[int]:
-    """Coefficients of start * prod (q**a - 1)**mult, all mult >= 0."""
-    cs = list(start)
-    for a in sorted(factors):
-        for _ in range(factors[a]):
-            cs = _mul_binomial(cs, a)
+# ---------------------------------------------------------------------------
+# Packed polynomials: P as the int P(2**B), coefficient i a signed digit in
+# the B-bit slot i; |coefficient| < 2**(B - 1) makes the digits unique.
+
+
+def _slot_bits(bound_bits: int) -> int:
+    """The slot width B for coefficients below 2**bound_bits in absolute
+    value: a sign bit and a spare bit on top, rounded up to whole bytes."""
+    return -(-(bound_bits + 2) // 8) * 8
+
+
+def _mul_packed(x: int, factors: dict[int, int], B: int) -> int:
+    """x * prod (q**a - 1)**mult on B-bit slots: a shift and a subtraction
+    per binomial."""
+    for a, m in factors.items():
+        k = a * B
+        for _ in range(m):
+            x = (x << k) - x
+    return x
+
+
+def _div_packed(x: int, k: int) -> int:
+    """The exact quotient x / (2**k - 1), k >= 1.
+
+    Multiplying by (2**k + 1)(2**2k + 1)...(2**(T/2) + 1) turns x = y (2**k - 1)
+    into z = y (2**T - 1) = y 2**T - y, so with |y| < 2**T the quotient is
+    z / 2**T rounded away from zero: shifts and additions only.  Multiplying
+    back checks it; a remainder raises ExactDivisionError.
+    """
+    need, t, z = x.bit_length() - k + 1, k, x
+    while t < need:
+        z += z << t
+        t <<= 1
+    y = z >> t if x < 0 else -(-z >> t)
+    if (y << k) - y != x:
+        raise ExactDivisionError("division by 2**k - 1 left a remainder")
+    return y
+
+
+def _unpack(x: int, B: int) -> list[int]:
+    """The coefficients of the packed polynomial x, every one of them below
+    2**(B - 1) in absolute value, with no trailing zeros.
+
+    Adding 2**(B - 1) to every slot makes each digit non-negative, so one
+    ``to_bytes`` cuts them all out at once."""
+    if not x:
+        return []
+    w = B // 8
+    n = abs(x).bit_length() // B + 1
+    half = 1 << (B - 1)
+    offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
+    data = (x + offset).to_bytes(n * w, "little")
+    cs = [int.from_bytes(data[i:i + w], "little") - half for i in range(0, n * w, w)]
+    while not cs[-1]:
+        cs.pop()
     return cs
+
+
+def _expand_factors(factors: dict[int, int]) -> list[int]:
+    """Coefficients of prod (q**a - 1)**mult, all mult >= 0.  The 1-norm
+    of q**a - 1 is 2, so no coefficient reaches 2**sum(mult)."""
+    B = _slot_bits(sum(factors.values()))
+    return _unpack(_mul_packed(1, factors, B), B)
 
 
 class FactoredFraction:

@@ -17,11 +17,16 @@ numerator and the factor map, so the theorem checks never reduce their
 large numerators.  The canonical form, when a caller asks for it, comes
 from cancelling cyclotomic factors only; no general polynomial gcd is ever
 needed.
+
+``qsum`` holds every polynomial of a sum packed into one int, its value at
+q = 2**B (Kronecker substitution): multiplying by q**a - 1 is one shift and
+one subtraction, and only the finished numerator is cut back into
+coefficients.  B is derived from the terms so that no numerator
+coefficient reaches 2**(B - 1); nothing sets it.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -30,9 +35,10 @@ from .exactalg import (
     FactoredFraction,
     Poly,
     RatFunc,
-    _div_binomial,
-    _expand_factors,
-    _mul_binomial,
+    _div_packed,
+    _mul_packed,
+    _slot_bits,
+    _unpack,
 )
 
 __all__ = [
@@ -182,6 +188,16 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     hypergeometric series costs about one binomial per factor of its term
     ratio.  The result keeps the common denominator as its factor map;
     nothing is reduced.
+
+    Every polynomial on the way is one int, its value at q = 2**B (see
+    ``exactalg._unpack``): a binomial step is a shift and a subtraction, an
+    exact division by q**a - 1 is one by 2**(a*B) - 1, a term is added at
+    its shift, and only the numerator is unpacked, once.  The 1-norm of
+    P(e) is at most 2**|e|, |e| = sum(e.values()), so with E the largest
+    |e_k| and n terms every coefficient of the numerator is below
+    n * 2**E <= 2**(B - 2) for B = E + n.bit_length() + 2 (rounded up to
+    whole bytes).  Evaluation at 2**B is a ring homomorphism and nothing
+    before the numerator is unpacked, so U and the cofactor need no bound.
     """
     terms = [t for t in products if not t.is_zero]
 
@@ -195,36 +211,41 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
             min_qexp = t.qexp
     qden = -min_qexp
 
-    acc: list[int] = []                   # U
-    common: dict[int, int] | None = None  # C
-    have: dict[int, int] = {}             # the exponents of cur = P(e_k - C)
-    for t in reversed(terms):
+    rows = []
+    for t in terms:
         exps = dict(den_need)
         for a, m in t.factors.items():
             exps[a] = exps.get(a, 0) + m
+        rows.append((t.sign, t.qexp + qden, exps))
+    B = _slot_bits(max((sum(e.values()) for *_, e in rows), default=0)
+                   + len(rows).bit_length())
+
+    acc = 0                               # U
+    common: dict[int, int] | None = None  # C
+    have: dict[int, int] = {}             # the exponents of cur = P(e_k - C)
+    for sign, shift, exps in reversed(rows):
         if common is None:
             common = exps
         low = {a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)}
-        acc = _expand_factors({a: m - low.get(a, 0) for a, m in common.items()}, acc)
+        acc = _mul_packed(acc, {a: m - low.get(a, 0) for a, m in common.items()}, B)
         common = low
         want = {a: m - low.get(a, 0) for a, m in exps.items() if m > low.get(a, 0)}
         delta = {a: want.get(a, 0) - have.get(a, 0) for a in want.keys() | have.keys()}
         if sum(map(abs, delta.values())) < sum(want.values()):
             # divide out first, which keeps the degrees low
             for a, m in sorted(delta.items(), key=lambda item: item[1]):
-                for _ in range(abs(m)):
-                    cur = _div_binomial(cur, a)[0] if m < 0 else _mul_binomial(cur, a)
+                if m < 0:
+                    for _ in range(-m):
+                        cur = _div_packed(cur, a * B)
+                else:
+                    cur = _mul_packed(cur, {a: m}, B)
         else:
-            cur = _expand_factors(want)
+            cur = _mul_packed(1, want, B)
         have = want
-        shift = t.qexp + qden
-        top = shift + len(cur)
-        if top > len(acc):
-            acc.extend([0] * (top - len(acc)))
-        acc[shift:top] = map(operator.add if t.sign > 0 else operator.sub,
-                             acc[shift:top], cur)
-    acc = _expand_factors(common or {}, acc)
-    return FactoredFraction(Poly(acc), den_need, qden)
+        term = cur << shift * B
+        acc = acc + term if sign > 0 else acc - term
+    acc = _mul_packed(acc, common or {}, B)
+    return FactoredFraction(Poly(_unpack(acc, B)), den_need, qden)
 
 
 # ---------------------------------------------------------------------------

@@ -123,11 +123,16 @@ def test_sweep_deterministic_across_jobs(tmp_path):
 
 
 def test_sweep_empty_grid():
-    proc = run_cli("sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "3",
-                   "--r-min", "1", "--r-max", "1")
-    assert proc.returncode == 0
-    header = json.loads(proc.stdout.splitlines()[0])
-    assert header["cases"] == 0
+    # a grid that selects no case is a usage error that names its bounds
+    for bounds, named in ((("--d-max", "5", "--n-max", "3", "--r-min", "1", "--r-max", "1"),
+                           ("d <= 5", "n <= 3", "1 <= r <= 1")),
+                          (("--r-min", "5", "--r-max", "-5"), ("5 <= r <= -5",)),
+                          (("--d-max", "3"), ("d <= 3",))):
+        proc = run_cli("sweep", "--theorem", "thm1", *bounds)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        [line] = proc.stderr.splitlines()
+        assert all(text in line for text in named)
 
 
 def test_sweep_conjecture_mode_informational():
@@ -310,6 +315,29 @@ def test_identity_writes_each_record_when_done(monkeypatch, tmp_path):
         cli.main(["identity", "andrews", "--trials", "5", "--output", str(out)])
     lines = out.read_text().splitlines()
     assert [json.loads(line)["trial"] for line in lines] == [0, 1]
+
+
+@pytest.mark.parametrize("kind,m", [("andrews", "1"), ("andrews", "-2"), ("multi-km", "1"),
+                                    ("multi-km", "-3"), ("gasper-km", "0")])
+def test_identity_m_below_the_kinds_minimum_is_usage_error(kind, m):
+    proc = run_cli("identity", kind, "--m", m, "--trials", "1")
+    assert proc.returncode == 2
+    assert "--m" in proc.stderr and kind in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_identity_gasper_km_runs_with_one_pair():
+    proc = run_cli("identity", "gasper-km", "--m", "1", "--trials", "2", "--seed", "3")
+    assert proc.returncode == 0
+    assert [len(json.loads(line)["params"]["e"]) for line in proc.stdout.splitlines()] == [1, 1]
+
+
+@pytest.mark.parametrize("power", ["-1", "-5"])
+def test_verify_negative_power_names_power(power):
+    proc = run_cli("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--power", power)
+    assert proc.returncode == 2
+    assert "--power" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -4,9 +4,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcongruence.exactalg import (
+    ExactDivisionError,
     INFINITE,
     ONE,
     Poly,
@@ -22,7 +23,12 @@ from qcongruence.exactalg import (
     rational_p_valuation,
 )
 from qcongruence import exactalg
-from qcongruence.exactalg import _poly_phi_valuation
+from qcongruence.exactalg import (
+    _div_packed,
+    _expand_factors,
+    _poly_phi_valuation,
+    _unpack,
+)
 
 
 def P(*coeffs):
@@ -387,6 +393,59 @@ def test_peeled_valuation_finishes_by_division(m, j, g):
     with mock.patch.object(exactalg, "_divide_out", wraps=exactalg._divide_out) as spy:
         assert _poly_phi_valuation(p, m) == j + divmod_count(g, m)
     assert spy.called
+
+
+# ---------------------------------------------------------------------------
+# packed polynomials: P held as the int P(2**B)
+
+
+def pack(coeffs, B):
+    return sum(c << (i * B) for i, c in enumerate(coeffs))
+
+
+@given(st.integers(-(2 ** 4000), 2 ** 4000), st.integers(1, 400))
+def test_div_packed_gives_back_the_quotient(q, k):
+    assert _div_packed(q * ((1 << k) - 1), k) == q
+
+
+@given(st.integers(-(2 ** 4000), 2 ** 4000), st.integers(2, 400), st.data())
+def test_div_packed_rejects_a_non_multiple(q, k, data):
+    rest = data.draw(st.integers(1, (1 << k) - 2))
+    with pytest.raises(ExactDivisionError):
+        _div_packed(q * ((1 << k) - 1) + rest, k)
+
+
+@st.composite
+def packable(draw):
+    """(coefficients, B) with every |coefficient| < 2**(B - 1)."""
+    B = draw(st.sampled_from([8, 16, 24, 64, 72]))
+    top = (1 << (B - 1)) - 1
+    extremes = st.sampled_from([top, -top, 0])
+    coeffs = draw(st.lists(st.one_of(extremes, st.integers(-top, top)), max_size=40))
+    return coeffs, B
+
+
+@given(packable())
+@example(([], 8))
+@example(([0, 0], 8))
+@example(([127, 0, -127, 0, 0], 8))
+@example(([0, 0, -1], 16))
+@example(([-(2 ** 71 - 1), 0, 2 ** 71 - 1] * 3, 72))
+def test_unpack_inverts_pack(case):
+    # extreme digits, inner and trailing zeros, the empty list
+    coeffs, B = case
+    want = list(coeffs)
+    while want and not want[-1]:
+        want.pop()
+    assert _unpack(pack(coeffs, B), B) == want
+
+
+@given(st.dictionaries(st.integers(1, 9), st.integers(0, 6), max_size=4))
+def test_expand_factors_matches_poly_products(factors):
+    want = ONE
+    for a, m in factors.items():
+        want = want * binomial(a) ** m
+    assert Poly(_expand_factors(factors)) == want
 
 
 def test_infinite_valuation_ordering():

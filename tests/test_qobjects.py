@@ -263,6 +263,27 @@ def test_qsum_matches_per_term_expansion(raw, zeros):
     assert_matches_reference(qsum(terms), terms)
 
 
+def test_qsum_coefficients_past_64_bits():
+    # coefficients near C(100, 50) ~ 2**96; sign, shift and denominator vary
+    terms = []
+    for i in range(12):
+        t = QProduct().mul_one_minus_q(1 + i % 3, 100).mul_qpow(i - 4)
+        t.mul_one_minus_q(5, -(i % 4))
+        if i % 5 == 2:
+            t.sign = -t.sign
+        terms.append(t)
+    value = qsum(terms)
+    assert max(map(abs, value.num.coeffs)).bit_length() > 64
+    assert_matches_reference(value, terms)
+
+
+@pytest.mark.parametrize("copies", [1, 7, 64, 300])
+def test_qsum_slots_hold_the_sum_of_many_equal_terms(copies):
+    # (1 - q)^6 alone fits 8-bit slots, but from 7 copies on its sum does not
+    terms = [QProduct().mul_one_minus_q(1, 6) for _ in range(copies)]
+    assert_matches_reference(qsum(terms), terms)
+
+
 @pytest.mark.parametrize("d,r", [(3, 1), (3, -3), (3, -9), (5, 1), (5, -5),
                                  (5, -1), (7, 1), (7, -7), (7, -3)])
 def test_truncated_sum_matches_per_term_expansion(d, r):
