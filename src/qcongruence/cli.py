@@ -67,6 +67,8 @@ POWER_KINDS = ("thm1", "thm2")
 ORACLE_KINDS = ("thm1", "thm2", "conj1", "conj2", "conj3", "lemma3")
 # the fewest parameter pairs (--m) each identity kind that takes them needs
 IDENTITY_M_MIN = {"andrews": 2, "gasper-km": 1, "multi-km": 2}
+# sweep conjectures whose r is fixed, so --r-min/--r-max play no part
+SWEEP_FIXED_R = {"conj1": 1, "conj2": -1}
 ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
                "of unity in F_p; a disagreement exits 2")
 
@@ -269,8 +271,8 @@ def _sweep_cases(kind: str, d_max: int, n_max: int,
                  r_range: tuple[int, int]) -> list[TheoremCase]:
     if kind in ("thm1", "thm2"):
         return enumerate_cases(Variant(kind), d_max, n_max, r_range)
-    if kind in ("conj1", "conj2"):
-        r = 1 if kind == "conj1" else -1
+    if kind in SWEEP_FIXED_R:
+        r = SWEEP_FIXED_R[kind]
         pool = [c for variant in Variant
                 for c in enumerate_cases(variant, d_max, n_max, (r, r))
                 if c.truncation is Truncation.FULL]
@@ -291,8 +293,10 @@ def cmd_sweep(args) -> int:
     r_range = (args.r_min, args.r_max)
     cases = _sweep_cases(kind, args.d_max, args.n_max, r_range)
     if not cases:
+        r_bound = (f"r = {SWEEP_FIXED_R[kind]}" if kind in SWEEP_FIXED_R
+                   else f"{args.r_min} <= r <= {args.r_max}")
         print(f"sweep {kind}: no case has d <= {args.d_max}, n <= {args.n_max} "
-              f"and {args.r_min} <= r <= {args.r_max}", file=sys.stderr)
+              f"and {r_bound}", file=sys.stderr)
         return EXIT_ERROR
     # the header echoes the grid and seed, never --jobs or --output, so
     # output bytes do not depend on them

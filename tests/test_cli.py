@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -124,15 +125,24 @@ def test_sweep_deterministic_across_jobs(tmp_path):
 
 def test_sweep_empty_grid():
     # a grid that selects no case is a usage error that names its bounds
-    for bounds, named in ((("--d-max", "5", "--n-max", "3", "--r-min", "1", "--r-max", "1"),
-                           ("d <= 5", "n <= 3", "1 <= r <= 1")),
-                          (("--r-min", "5", "--r-max", "-5"), ("5 <= r <= -5",)),
-                          (("--d-max", "3"), ("d <= 3",))):
-        proc = run_cli("sweep", "--theorem", "thm1", *bounds)
+    # (conj1 and conj2 fix r, so the line names that r and not the r range)
+    for args, named, unnamed in (
+            (("--theorem", "thm1", "--d-max", "5", "--n-max", "3",
+              "--r-min", "1", "--r-max", "1"),
+             ("d <= 5", "n <= 3", "1 <= r <= 1"), ()),
+            (("--theorem", "thm1", "--r-min", "5", "--r-max", "-5"),
+             ("5 <= r <= -5",), ()),
+            (("--theorem", "thm1", "--d-max", "3"), ("d <= 3",), ()),
+            (("--conjecture", "conj1", "--d-max", "3"),
+             ("d <= 3", "r = 1"), ("<= r <=",)),
+            (("--conjecture", "conj2", "--d-max", "3"),
+             ("d <= 3", "r = -1"), ("<= r <=",))):
+        proc = run_cli("sweep", *args)
         assert proc.returncode == 2
         assert proc.stdout == ""
         [line] = proc.stderr.splitlines()
         assert all(text in line for text in named)
+        assert not any(text in line for text in unnamed)
 
 
 def test_sweep_conjecture_mode_informational():
@@ -157,7 +167,10 @@ def test_verify_power_keeps_oracle_and_timing():
     assert rec["modulus"] == {"2": 1, "4": 4}
     assert rec["oracle"] == "FAIL"
     assert proc.returncode == 1
-    assert "(0 ms)" not in proc.stderr
+    # the record's elapsed_ms is None by design, so the timing shows only on
+    # stderr; it must be read there as a number, not matched as rounded text
+    timing = re.search(r"\(([0-9.]+) ms\)", proc.stderr)
+    assert timing and float(timing.group(1)) > 0
 
 
 def test_identity_watson_evaluates_each_trial_once(monkeypatch, capsys):
