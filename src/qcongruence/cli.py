@@ -36,10 +36,10 @@ from .hypergeom import (
     gasper_terminating_sum,
     multi_km_sum,
     sample_until_valid,
-    theorem_sum,
     watson_pair,
 )
 from .congruence import (
+    CONJECTURE_R,
     CheckReport,
     CheckStatus,
     Conjecture,
@@ -48,10 +48,8 @@ from .congruence import (
     check_lemma3,
     check_lemma4,
     check_mod_square,
-    check_sum,
     check_theorem,
     enumerate_cases,
-    q_integer_modulus,
     van_hamme_check,
 )
 
@@ -61,14 +59,21 @@ EXIT_ERROR = 2
 
 SWEEP_D_MAX = 9
 SWEEP_N_MAX = 40
+SWEEP_R_RANGE = (-7, 7)
 
-# verify kinds that accept --power and --oracle
-POWER_KINDS = ("thm1", "thm2")
-ORACLE_KINDS = ("thm1", "thm2", "conj1", "conj2", "conj3", "lemma3")
-# the fewest parameter pairs (--m) each identity kind that takes them needs
-IDENTITY_M_MIN = {"andrews": 2, "gasper-km": 1, "multi-km": 2}
-# sweep conjectures whose r is fixed, so --r-min/--r-max play no part
-SWEEP_FIXED_R = {"conj1": 1, "conj2": -1}
+# per verify kind: the flags it requires, whether --power applies, and
+# whether --oracle applies
+VERIFY_KINDS = {
+    "thm1": (("r", "n"), True, True),
+    "thm2": (("r", "n"), True, True),
+    "conj1": (("n",), False, True),
+    "conj2": (("n",), False, True),
+    "conj3": (("r", "n"), False, True),
+    "lemma3": (("r", "n"), False, True),
+    "lemma4": (("r", "n"), False, False),
+    "modsquare": (("r", "n"), False, False),
+    "vanhamme": ((), False, False),
+}
 ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
                "of unity in F_p; a disagreement exits 2")
 
@@ -133,25 +138,25 @@ def _status_exit(status: CheckStatus) -> int:
 # verify
 
 
+def _check_case(kind: str, case: TheoremCase, oracle: bool,
+                power: int | None = None) -> CheckReport:
+    """The check of one theorem or conjecture case, for verify and sweep."""
+    if kind in ("thm1", "thm2"):
+        return check_theorem(case, oracle=oracle, power=power)
+    return check_conjecture(case, Conjecture(kind), oracle=oracle)
+
+
 def _verify_report(args) -> tuple[CheckReport, dict]:
     kind = args.kind
     trunc = Truncation(args.trunc)
     if kind in ("thm1", "thm2"):
         case = TheoremCase(args.d, args.r, args.n, Variant(kind), trunc)
-        if args.power is None:
-            return check_theorem(case, oracle=args.oracle), _case_fields(case)
-        mod = q_integer_modulus(case.n, args.power)
-        report = check_sum(lambda: theorem_sum(case), (case.d, case.r, case.upper_bound),
-                           mod, case.describe(), args.oracle)
-        return report, _case_fields(case)
+        return _check_case(kind, case, args.oracle, args.power), _case_fields(case)
     if kind in ("conj1", "conj2", "conj3"):
-        r = args.r if args.r is not None else (1 if kind == "conj1" else -1)
-        if kind != "conj3" and args.d >= 1 and args.n % args.d == (-r) % args.d:
-            variant = Variant.THM1
-        else:
-            variant = Variant.THM2
-        case = TheoremCase(args.d, r, args.n, variant, trunc)
-        return check_conjecture(case, Conjecture(kind), oracle=args.oracle), _case_fields(case)
+        r = args.r if args.r is not None else CONJECTURE_R[Conjecture(kind)]
+        first = kind != "conj3" and args.d >= 1 and args.n % args.d == (-r) % args.d
+        case = TheoremCase(args.d, r, args.n, Variant.THM1 if first else Variant.THM2, trunc)
+        return _check_case(kind, case, args.oracle), _case_fields(case)
     if kind == "lemma3":
         report = check_lemma3(args.d, args.r, args.n, trunc, oracle=args.oracle)
         return report, {"d": args.d, "r": args.r, "n": args.n, "trunc": args.trunc}
@@ -173,11 +178,13 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     report, fields = _verify_report(args)
-    rec = _report_record(f"verify {args.kind}", fields, report, args.seed)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    rec = _report_record(f"verify {args.kind}", fields, report, None)
     _emit([json.dumps(rec)], args.output)
     print(f"{report.description or args.kind}: {report.status.value} "
-          f"({report.elapsed_ms:.1f} ms)", file=sys.stderr)
+          f"({elapsed_ms:.1f} ms)", file=sys.stderr)
     if report.oracle_status is not None and report.oracle_status != report.status:
         print("oracle verdict disagrees with valuation verdict", file=sys.stderr)
         return EXIT_ERROR
@@ -188,42 +195,30 @@ def cmd_verify(args) -> int:
 # identity
 
 
+def _km_params(p) -> dict:
+    return {"a": p.a, "e": list(p.e), "nondeg": list(p.nondeg), "N": p.N}
+
+
+# per identity kind: draw(rng, m, N), the exact check of a draw, the record's
+# params of a draw, and the fewest parameter pairs (--m) it needs, or None
+# when it takes none.  The evaluators are looked up when a check runs, so a
+# patched cli.andrews_lhs (say) is the one called.
+IDENTITY_KINDS = {
+    "andrews": (draw_andrews_params, lambda p: andrews_lhs(p) == andrews_rhs(p),
+                lambda p: {"a": p.a, "pairs": [list(x) for x in p.pairs], "N": p.N}, 2),
+    "watson": (lambda rg, _m, N: draw_watson_exponents(rg, N=N),
+               lambda t: operator.eq(*watson_pair(*t)),
+               lambda t: dict(zip(("a", "b", "c", "d", "e", "N"), t)), None),
+    "gasper-km": (draw_km_params, lambda p: gasper_terminating_sum(p).is_zero, _km_params, 1),
+    "multi-km": (draw_km_params, lambda p: multi_km_sum(p).is_zero, _km_params, 2),
+}
+
+
 def _identity_trial(kind: str, rng: random.Random, m: int, order: int | None):
-    if kind == "andrews":
-        return sample_until_valid(
-            rng,
-            lambda rg: draw_andrews_params(rg, m, N=order),
-            lambda p: andrews_lhs(p) == andrews_rhs(p),
-        )
-    if kind == "watson":
-        return sample_until_valid(
-            rng,
-            lambda rg: draw_watson_exponents(rg, N=order),
-            lambda t: operator.eq(*watson_pair(*t)),
-        )
-    if kind == "gasper-km":
-        return sample_until_valid(
-            rng,
-            lambda rg: draw_km_params(rg, m, N=order),
-            lambda p: gasper_terminating_sum(p).is_zero,
-        )
-    if kind == "multi-km":
-        return sample_until_valid(
-            rng,
-            lambda rg: draw_km_params(rg, m, N=order),
-            lambda p: multi_km_sum(p).is_zero,
-        )
-    raise ValueError(f"unknown identity kind {kind!r}")
-
-
-def _params_fields(kind: str, params) -> dict:
-    if kind == "andrews":
-        return {"a": params.a, "pairs": [list(p) for p in params.pairs], "N": params.N}
-    if kind == "watson":
-        a, b, c, d, e, n = params
-        return {"a": a, "b": b, "c": c, "d": d, "e": e, "N": n}
-    return {"a": params.a, "e": list(params.e), "nondeg": list(params.nondeg),
-            "N": params.N}
+    """(record params, verdict, resamples) of one trial."""
+    draw, check, params_of, _m_min = IDENTITY_KINDS[kind]
+    params, ok, resamples = sample_until_valid(rng, lambda rg: draw(rg, m, order), check)
+    return params_of(params), ok, resamples
 
 
 def cmd_identity(args) -> int:
@@ -239,7 +234,7 @@ def cmd_identity(args) -> int:
             yield json.dumps({
                 "command": f"identity {args.kind}",
                 "trial": trial,
-                "params": _params_fields(args.kind, params),
+                "params": params,
                 "status": "PASS" if ok else "FAIL",
                 "resamples": resamples,
                 "elapsed_ms": None,
@@ -260,26 +255,21 @@ def cmd_identity(args) -> int:
 
 def _sweep_worker(job) -> dict:
     kind, case, oracle, seed = job
-    if kind in ("thm1", "thm2"):
-        report = check_theorem(case, oracle=oracle)
-    else:
-        report = check_conjecture(case, Conjecture(kind), oracle=oracle)
-    return _report_record(f"sweep {kind}", _case_fields(case), report, seed)
+    return _report_record(f"sweep {kind}", _case_fields(case),
+                          _check_case(kind, case, oracle), seed)
 
 
 def _sweep_cases(kind: str, d_max: int, n_max: int,
                  r_range: tuple[int, int]) -> list[TheoremCase]:
     if kind in ("thm1", "thm2"):
         return enumerate_cases(Variant(kind), d_max, n_max, r_range)
-    if kind in SWEEP_FIXED_R:
-        r = SWEEP_FIXED_R[kind]
+    if kind == "conj3":
+        pool = enumerate_cases(Variant.THM2, d_max, n_max, r_range)
+    else:
+        r = CONJECTURE_R[Conjecture(kind)]
         pool = [c for variant in Variant
                 for c in enumerate_cases(variant, d_max, n_max, (r, r))
                 if c.truncation is Truncation.FULL]
-    elif kind == "conj3":
-        pool = enumerate_cases(Variant.THM2, d_max, n_max, r_range)
-    else:
-        raise ValueError(f"unknown sweep kind {kind!r}")
     return sorted(pool, key=lambda c: (c.d, c.r, c.n, c.variant.value,
                                        c.truncation.value))
 
@@ -293,7 +283,8 @@ def cmd_sweep(args) -> int:
     r_range = (args.r_min, args.r_max)
     cases = _sweep_cases(kind, args.d_max, args.n_max, r_range)
     if not cases:
-        r_bound = (f"r = {SWEEP_FIXED_R[kind]}" if kind in SWEEP_FIXED_R
+        fixed_r = CONJECTURE_R.get(Conjecture(kind)) if args.conjecture else None
+        r_bound = (f"r = {fixed_r}" if fixed_r is not None
                    else f"{args.r_min} <= r <= {args.r_max}")
         print(f"sweep {kind}: no case has d <= {args.d_max}, n <= {args.n_max} "
               f"and {r_bound}", file=sys.stderr)
@@ -318,7 +309,8 @@ def cmd_sweep(args) -> int:
 
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             try:
                 _emit(lines(pool.map(_sweep_worker, jobs)), args.output)
             finally:
@@ -353,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="check a single case")
-    ver.add_argument("kind", choices=["thm1", "thm2", "conj1", "conj2",
-                                      "conj3", "lemma3", "lemma4",
-                                      "modsquare", "vanhamme"])
+    ver.add_argument("kind", choices=VERIFY_KINDS)
     ver.add_argument("--d", type=int, default=5)
     ver.add_argument("--r", type=int, default=None)
     ver.add_argument("--n", type=int, default=None)
@@ -366,13 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--power", type=int, default=None,
                      help="override the cyclotomic power of the modulus")
     ver.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
-    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--output", default=None)
     ver.set_defaults(func=cmd_verify)
 
     ident = sub.add_parser("identity", help="randomized exact identity checks")
-    ident.add_argument("kind", choices=["andrews", "watson", "gasper-km",
-                                        "multi-km"])
+    ident.add_argument("kind", choices=IDENTITY_KINDS)
     ident.add_argument("--m", type=int, default=2, help="number of parameter pairs")
     ident.add_argument("--N", type=int, default=None, help="termination order")
     ident.add_argument("--trials", type=int, default=20)
@@ -386,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--conjecture", choices=["conj1", "conj2", "conj3"])
     sweep.add_argument("--d-max", type=int, default=7)
     sweep.add_argument("--n-max", type=int, default=20)
-    sweep.add_argument("--r-min", type=int, default=-7)
-    sweep.add_argument("--r-max", type=int, default=7)
+    sweep.add_argument("--r-min", type=int, default=SWEEP_R_RANGE[0])
+    sweep.add_argument("--r-max", type=int, default=SWEEP_R_RANGE[1])
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
@@ -400,28 +388,30 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None):
     """Parsed arguments; a flag that does not compose is a parser error."""
     args = parser.parse_args(argv)
-    required = {
-        "thm1": ("r", "n"), "thm2": ("r", "n"),
-        "conj1": ("n",), "conj2": ("n",), "conj3": ("r", "n"),
-        "lemma3": ("r", "n"), "lemma4": ("r", "n"), "modsquare": ("r", "n"),
-    }
     if args.command == "verify":
-        for name in required.get(args.kind, ()):
+        required, takes_power, takes_oracle = VERIFY_KINDS[args.kind]
+        for name in required:
             if getattr(args, name) is None:
                 parser.error(f"verify {args.kind} requires --{name}")
-        if args.power is not None and args.kind not in POWER_KINDS:
+        if args.power is not None and not takes_power:
             parser.error(f"--power does not apply to verify {args.kind}")
         if args.power is not None and args.power < 0:
             parser.error("--power must be at least 0")
-        if args.oracle and args.kind not in ORACLE_KINDS:
+        if args.oracle and not takes_oracle:
             parser.error(f"--oracle does not apply to verify {args.kind}")
-    if args.command == "identity" and args.trials < 1:
-        parser.error("--trials must be at least 1")
-    if (args.command == "identity" and args.kind in IDENTITY_M_MIN
-            and args.m < IDENTITY_M_MIN[args.kind]):
-        parser.error(f"identity {args.kind} needs --m at least {IDENTITY_M_MIN[args.kind]}")
-    if args.command == "sweep" and args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    if args.command == "identity":
+        if args.trials < 1:
+            parser.error("--trials must be at least 1")
+        m_min = IDENTITY_KINDS[args.kind][3]
+        if m_min is not None and args.m < m_min:
+            parser.error(f"identity {args.kind} needs --m at least {m_min}")
+    if args.command == "sweep":
+        if args.jobs < 1:
+            parser.error("--jobs must be at least 1")
+        fixed_r = CONJECTURE_R.get(Conjecture(args.conjecture)) if args.conjecture else None
+        if fixed_r is not None and (args.r_min, args.r_max) != SWEEP_R_RANGE:
+            parser.error(f"sweep {args.conjecture} fixes r = {fixed_r}; "
+                         "--r-min and --r-max do not apply")
     return args
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exactalg import (
     INFINITE,
@@ -46,6 +45,7 @@ from .hypergeom import (
 )
 
 __all__ = [
+    "CONJECTURE_R",
     "CheckReport",
     "CheckStatus",
     "Conjecture",
@@ -79,6 +79,9 @@ class Conjecture(Enum):
     CONJ2 = "conj2"
     CONJ3 = "conj3"
 
+
+# the r that conj1 and conj2 fix; conj3 takes any r of the second family
+CONJECTURE_R = {Conjecture.CONJ1: 1, Conjecture.CONJ2: -1}
 
 Lemma3Truncation = Truncation
 # a validated parameter tuple, or InvalidCase naming every violated hypothesis
@@ -131,7 +134,6 @@ class CheckReport:
     valuations: ValuationReport | None
     status: CheckStatus
     term_count: int = 0
-    elapsed_ms: float = 0.0
     detail: str | None = None
     oracle_status: CheckStatus | None = None
 
@@ -170,20 +172,13 @@ def check_congruence(
     return report
 
 
-def _elapsed_ms(start: float) -> float:
-    return (time.perf_counter() - start) * 1000.0
-
-
-def check_sum(total: Callable[[], FactoredFraction], shape: tuple[int, int, int],
+def check_sum(total: FactoredFraction, shape: tuple[int, int, int],
               mod: Modulus, description: str, oracle: bool = False) -> CheckReport:
-    """The check pipeline shared by every truncated-sum checker: compute
-    ``total()``, which is ``truncated_sum(*shape)``, compare it against the
-    modulus profile, and time both steps.  When asked, the oracle walks the
-    terms of the same sum, ``truncated_terms(*shape)``, at a root of unity
-    in F_p and adds its verdict."""
-    start = time.perf_counter()
-    report = check_congruence(total(), mod, description, shape[2] + 1)
-    report.elapsed_ms = _elapsed_ms(start)
+    """The check pipeline shared by every truncated-sum checker: compare
+    ``total``, which is ``truncated_sum(*shape)``, against the modulus
+    profile and, when asked, add the verdict of the oracle's walk over the
+    same sum's terms, ``truncated_terms(*shape)``, at a root of unity in F_p."""
+    report = check_congruence(total, mod, description, shape[2] + 1)
     if oracle:
         report.oracle_status = oracle_check(truncated_terms(*shape), mod)
     return report
@@ -193,12 +188,14 @@ def _shape(case: TheoremCase) -> tuple[int, int, int]:
     return case.d, case.r, case.upper_bound
 
 
-def check_theorem(case: TheoremCase, oracle: bool = False) -> CheckReport:
-    """Check the case's sum against its stated modulus profile:
-    [n]*Phi_n**2 for the first family, [n]*Phi_n for the second."""
-    power = 2 if case.variant is Variant.THM1 else 1
-    return check_sum(lambda: theorem_sum(case), _shape(case),
-                     q_integer_modulus(case.n, power), case.describe(), oracle)
+def check_theorem(case: TheoremCase, oracle: bool = False,
+                  power: int | None = None) -> CheckReport:
+    """Check the case's sum against [n]*Phi_n**power; by default the stated
+    power, 2 for the first family and 1 for the second."""
+    if power is None:
+        power = 2 if case.variant is Variant.THM1 else 1
+    mod = q_integer_modulus(case.n, power)
+    return check_sum(theorem_sum(case), _shape(case), mod, case.describe(), oracle)
 
 
 def check_conjecture(case: TheoremCase, which: Conjecture,
@@ -209,24 +206,22 @@ def check_conjecture(case: TheoremCase, which: Conjecture,
     cases and Phi_n**4 on the second; conj3 claims [n]*Phi_n**3 on the
     second family.  Reports are evidence, not assertions.
     """
-    if which is Conjecture.CONJ1 and case.r != 1:
-        raise InvalidCase(["conj1 requires r = 1"])
-    if which is Conjecture.CONJ2 and case.r != -1:
-        raise InvalidCase(["conj2 requires r = -1"])
+    if which in CONJECTURE_R and case.r != CONJECTURE_R[which]:
+        raise InvalidCase([f"{which.value} requires r = {CONJECTURE_R[which]}"])
     if which is Conjecture.CONJ3 and case.variant is not Variant.THM2:
         raise InvalidCase(["conj3 applies to the second family (2n = -r mod d)"])
     if which is Conjecture.CONJ3:
         mod = q_integer_modulus(case.n, 3)
     else:
         mod = phi_modulus(case.n, 3 if case.variant is Variant.THM1 else 4)
-    return check_sum(lambda: theorem_sum(case), _shape(case), mod,
+    return check_sum(theorem_sum(case), _shape(case), mod,
                      f"{which.value} {case.describe()}", oracle)
 
 
 def legacy_check(d: int, r: int, n: int, phi_power: int) -> CheckReport:
     """Check the full sum (k = 0..n-1) for any odd d >= 3 against a bare
     Phi_n**power profile; used for the d = 3 regression families."""
-    return check_sum(lambda: truncated_sum(d, r, n - 1), (d, r, n - 1),
+    return check_sum(truncated_sum(d, r, n - 1), (d, r, n - 1),
                      phi_modulus(n, phi_power),
                      f"legacy(d={d}, r={r}, n={n}) mod Phi_{n}^{phi_power}")
 
@@ -253,7 +248,7 @@ def check_lemma3(d: int, r: int, n: int,
     m_solved = (-r * pow(d, -1, n)) % n if n > 1 else 0
     upper = m_solved if truncation is Truncation.M_SOLVED else max(n - 1, 0)
     mod = q_integer_modulus(n, 0) if n > 1 else Modulus({})
-    return check_sum(lambda: truncated_sum(d, r, upper), (d, r, upper), mod,
+    return check_sum(truncated_sum(d, r, upper), (d, r, upper), mod,
                      f"lemma3(d={d}, r={r}, n={n}, m={upper})", oracle)
 
 
@@ -293,7 +288,6 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         raise InvalidCase(["d must be a positive integer"])
     if n < 1:
         raise InvalidCase(["n must be a positive integer"])
-    start = time.perf_counter()
     mod = phi_modulus(n, 2)
     worst: Valuation = INFINITE
     for k in range(k_max + 1):
@@ -304,11 +298,9 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         v = phi_valuation(qsum([lhs, rhs]), n)
         if v < worst:
             worst = v
-    report = CheckReport.verdict(
+    return CheckReport.verdict(
         f"modsquare(alpha={alpha}, r={r}, n={n}, d={d}, k_max={k_max})",
         mod, ValuationReport.compare({n: worst}, mod.parts), k_max + 1)
-    report.elapsed_ms = _elapsed_ms(start)
-    return report
 
 
 def van_hamme_check(p: int) -> CheckReport:
@@ -316,7 +308,6 @@ def van_hamme_check(p: int) -> CheckReport:
     (mod p^4), over exact rationals, for primes p > 3."""
     if p <= 3 or any(p % k == 0 for k in range(2, int(math.isqrt(p)) + 1)):
         raise InvalidCase([f"p = {p} must be a prime greater than 3"])
-    start = time.perf_counter()
     half = Fraction(1, 2)
     total = Fraction(0)
     fact = Fraction(1)
@@ -327,10 +318,8 @@ def van_hamme_check(p: int) -> CheckReport:
     target = p * (-1) ** ((p - 1) // 2)
     v = rational_p_valuation(total - target, p)
     mod = Modulus({p: 4})
-    report = CheckReport.verdict(f"vanhamme(p={p})", mod,
-                                 ValuationReport.compare({p: v}, mod.parts), (p - 1) // 2 + 1)
-    report.elapsed_ms = _elapsed_ms(start)
-    return report
+    return CheckReport.verdict(f"vanhamme(p={p})", mod,
+                               ValuationReport.compare({p: v}, mod.parts), (p - 1) // 2 + 1)
 
 
 def enumerate_cases(

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -36,6 +37,7 @@ EXIT_MATRIX = [
     (("verify", "vanhamme", "--p", "3"), 2),
     (("verify", "thm1", "--d", "5", "--r", "1"), 2),          # missing --n
     (("verify", "nonsense",), 2),
+    (("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--seed", "3"), 2),
 ]
 
 
@@ -145,6 +147,27 @@ def test_sweep_empty_grid():
         assert not any(text in line for text in unnamed)
 
 
+@pytest.mark.parametrize("kind,r", [("conj1", 1), ("conj2", -1)])
+@pytest.mark.parametrize("bounds", [("--r-min", "3", "--r-max", "3"), ("--r-min", "-5"),
+                                    ("--r-max", "5")], ids=" ".join)
+def test_sweep_fixed_r_conjecture_rejects_r_bounds(kind, r, bounds):
+    # conj1 and conj2 fix r, so an r range there would be echoed but not used
+    proc = run_cli("sweep", "--conjecture", kind, "--d-max", "5", "--n-max", "9", *bounds)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"fixes r = {r}" in proc.stderr and "--r-min" in proc.stderr
+
+
+def test_sweep_fixed_r_conjecture_accepts_the_default_bounds():
+    base = ("sweep", "--conjecture", "conj1", "--d-max", "5", "--n-max", "9")
+    plain = run_cli(*base)
+    spelled = run_cli(*base, "--r-min", "-7", "--r-max", "7")
+    assert plain.returncode == spelled.returncode == 0
+    assert plain.stdout == spelled.stdout
+    header = json.loads(plain.stdout.splitlines()[0])
+    assert (header["r_min"], header["r_max"]) == (-7, 7)
+
+
 def test_sweep_conjecture_mode_informational():
     # conjecture sweeps exit 0 regardless of verdicts
     proc = run_cli("sweep", "--conjecture", "conj3", "--d-max", "5",
@@ -171,6 +194,32 @@ def test_verify_power_keeps_oracle_and_timing():
     # stderr; it must be read there as a number, not matched as rounded text
     timing = re.search(r"\(([0-9.]+) ms\)", proc.stderr)
     assert timing and float(timing.group(1)) > 0
+
+
+# verify records pinned byte for byte, so that a change to how a kind is
+# dispatched cannot change a record
+PINNED_VERIFY = [
+    (("thm1", "--d", "5", "--r", "1", "--n", "4", "--power", "3", "--oracle"), 1,
+     '{"command": "verify thm1", "case": {"d": 5, "r": 1, "n": 4, "variant": "thm1", '
+     '"trunc": "upper"}, "modulus": {"2": 1, "4": 4}, "achieved": {"2": 4, "4": 3}, '
+     '"status": "FAIL", "term_count": 4, "elapsed_ms": null, "seed": null, "oracle": "FAIL"}'),
+    (("conj1", "--d", "5", "--n", "9", "--trunc", "full"), 0,
+     '{"command": "verify conj1", "case": {"d": 5, "r": 1, "n": 9, "variant": "thm1", '
+     '"trunc": "full"}, "modulus": {"9": 3}, "achieved": {"9": 3}, "status": "PASS", '
+     '"term_count": 9, "elapsed_ms": null, "seed": null}'),
+    (("conj2", "--d", "5", "--n", "3"), 0,
+     '{"command": "verify conj2", "case": {"d": 5, "r": -1, "n": 3, "variant": "thm2", '
+     '"trunc": "upper"}, "modulus": {"3": 4}, "achieved": {"3": 4}, "status": "PASS", '
+     '"term_count": 3, "elapsed_ms": null, "seed": null}'),
+]
+
+
+@pytest.mark.parametrize("args,code,line", PINNED_VERIFY,
+                         ids=[" ".join(a) for a, _, _ in PINNED_VERIFY])
+def test_verify_record_bytes(args, code, line):
+    proc = run_cli("verify", *args)
+    assert proc.returncode == code
+    assert proc.stdout == line + "\n"
 
 
 def test_identity_watson_evaluates_each_trial_once(monkeypatch, capsys):
@@ -353,6 +402,39 @@ def test_verify_negative_power_names_power(power):
     assert proc.stdout == ""
 
 
+def test_sweep_pool_never_exceeds_the_case_count(monkeypatch, capsys):
+    # the pool starts every worker it is given, so --jobs is capped at the
+    # number of cases; the fake pool maps in-process and starts nothing
+    from qcongruence import cli
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    with open(TINY_SWEEP_OUT) as fh:
+        want = fh.read()
+    cases = len(want.splitlines()) - 1
+    for jobs in (2, cases + 50):
+        assert cli.main([*TINY_SWEEP, "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().out == want
+    assert sizes == [2, cases]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_nonpositive_jobs_is_usage_error(jobs):
     proc = run_cli(*TINY_SWEEP, "--jobs", jobs)
@@ -400,3 +482,24 @@ def test_closed_stdout_exits_2(args, tmp_path):
             proc.kill()
     assert code == 2
     assert err_path.read_text().splitlines() == ["error: stdout closed before the run finished"]
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_commands_parse():
+    # every command of the README's "Command line" block is accepted as
+    # written ([--flag] marks an optional flag, taken here); nothing runs
+    from qcongruence import cli
+
+    with open(README) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line.replace("[", "").replace("]", ""))[1:]
+                for line in block.splitlines() if line.startswith("qcongruence ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            args = cli._parse_args(cli.build_parser(), argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: qcongruence {' '.join(argv)}")
+        assert args.command == argv[0]

@@ -126,6 +126,21 @@ def test_theorem_profile_fail_is_reported_not_error():
     assert rep.valuations.achieved[9] >= 3
 
 
+@pytest.mark.parametrize("d,r,n,variant", [(5, 1, 4, Variant.THM1), (5, 1, 9, Variant.THM1),
+                                           (5, 1, 7, Variant.THM2), (5, -3, 4, Variant.THM2)])
+def test_theorem_power_is_the_pipeline_at_that_power(d, r, n, variant):
+    # check_theorem(case, power=k) is check_sum of the theorem sum against
+    # [n]*Phi_n**k; without a power it is the family's stated one
+    for trunc in (Truncation.UPPER, Truncation.FULL):
+        case = validate_case(d, r, n, variant, trunc)
+        for k in range(4):
+            want = congruence.check_sum(theorem_sum(case), (d, r, case.upper_bound),
+                                        q_integer_modulus(n, k), case.describe(), True)
+            assert check_theorem(case, oracle=True, power=k) == want
+        stated = 2 if variant is Variant.THM1 else 1
+        assert check_theorem(case) == check_theorem(case, power=stated)
+
+
 # ---------------------------------------------------------------------------
 # conjecture checks
 
@@ -160,6 +175,9 @@ def test_conjecture_preconditions():
         check_conjecture(case, Conjecture.CONJ1)
     with pytest.raises(InvalidCase):
         check_conjecture(case, Conjecture.CONJ3)
+    case = validate_case(5, 1, 9, Variant.THM1, Truncation.FULL)
+    with pytest.raises(InvalidCase, match="conj2 requires r = -1"):
+        check_conjecture(case, Conjecture.CONJ2)
 
 
 # ---------------------------------------------------------------------------
