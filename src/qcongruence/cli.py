@@ -61,18 +61,18 @@ SWEEP_D_MAX = 9
 SWEEP_N_MAX = 40
 SWEEP_R_RANGE = (-7, 7)
 
-# per verify kind: the flags it requires, whether --power applies, and
-# whether --oracle applies
+# per verify kind: the flags it requires and the flags it may take; any
+# other verify flag is a usage error
 VERIFY_KINDS = {
-    "thm1": (("r", "n"), True, True),
-    "thm2": (("r", "n"), True, True),
-    "conj1": (("n",), False, True),
-    "conj2": (("n",), False, True),
-    "conj3": (("r", "n"), False, True),
-    "lemma3": (("r", "n"), False, True),
-    "lemma4": (("r", "n"), False, False),
-    "modsquare": (("r", "n"), False, False),
-    "vanhamme": ((), False, False),
+    "thm1": (("r", "n"), ("d", "trunc", "power", "oracle")),
+    "thm2": (("r", "n"), ("d", "trunc", "power", "oracle")),
+    "conj1": (("n",), ("d", "r", "trunc", "oracle")),
+    "conj2": (("n",), ("d", "r", "trunc", "oracle")),
+    "conj3": (("r", "n"), ("d", "trunc", "oracle")),
+    "lemma3": (("r", "n"), ("d", "trunc", "oracle")),
+    "lemma4": (("r", "n"), ("d",)),
+    "modsquare": (("r", "n"), ("d", "alpha", "k_max")),
+    "vanhamme": ((), ("p",)),
 }
 ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
                "of unity in F_p; a disagreement exits 2")
@@ -91,7 +91,7 @@ def _report_record(command: str, case_fields: dict, report: CheckReport,
         "achieved": {
             str(m): _json_valuation(v)
             for m, v in sorted(report.valuations.achieved.items())
-        } if report.valuations else {},
+        },
         "status": report.status.value,
         "term_count": report.term_count,
         "elapsed_ms": None,
@@ -162,19 +162,17 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
         return report, {"d": args.d, "r": args.r, "n": args.n, "trunc": args.trunc}
     if kind == "lemma4":
         ok = check_lemma4(args.d, args.r, args.n)
-        report = CheckReport.verdict(
+        # no modulus to meet: the verdict is the progression test's
+        report = CheckReport(
             f"lemma4(d={args.d}, r={args.r}, n={args.n})", Modulus({}),
-            ValuationReport({}, {}, ok),
+            ValuationReport({}, {}, ok), CheckStatus.PASS if ok else CheckStatus.FAIL,
             (args.d * args.n - 2 * args.n - args.r) // args.d)
         return report, {"d": args.d, "r": args.r, "n": args.n}
     if kind == "modsquare":
         report = check_mod_square(args.alpha, args.r, args.n, args.d, args.k_max)
         return report, {"alpha": args.alpha, "r": args.r, "n": args.n,
                         "d": args.d, "k_max": args.k_max}
-    if kind == "vanhamme":
-        report = van_hamme_check(args.p)
-        return report, {"p": args.p}
-    raise InvalidCase([f"unknown verify kind {kind!r}"])
+    return van_hamme_check(args.p), {"p": args.p}
 
 
 def cmd_verify(args) -> int:
@@ -346,14 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check a single case")
     ver.add_argument("kind", choices=VERIFY_KINDS)
-    ver.add_argument("--d", type=int, default=5)
-    ver.add_argument("--r", type=int, default=None)
-    ver.add_argument("--n", type=int, default=None)
-    ver.add_argument("--p", type=int, default=5)
-    ver.add_argument("--alpha", type=int, default=1)
-    ver.add_argument("--k-max", type=int, default=3)
-    ver.add_argument("--trunc", choices=["upper", "full"], default="upper")
-    ver.add_argument("--power", type=int, default=None,
+    for flag in ("--d", "--r", "--n", "--p", "--alpha", "--k-max"):
+        ver.add_argument(flag, type=int)
+    ver.add_argument("--trunc", choices=["upper", "full"])
+    ver.add_argument("--power", type=int,
                      help="override the cyclotomic power of the modulus")
     ver.add_argument("--oracle", action="store_true", help=ORACLE_HELP)
     ver.add_argument("--output", default=None)
@@ -389,16 +383,24 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None):
     """Parsed arguments; a flag that does not compose is a parser error."""
     args = parser.parse_args(argv)
     if args.command == "verify":
-        required, takes_power, takes_oracle = VERIFY_KINDS[args.kind]
-        for name in required:
-            if getattr(args, name) is None:
-                parser.error(f"verify {args.kind} requires --{name}")
-        if args.power is not None and not takes_power:
-            parser.error(f"--power does not apply to verify {args.kind}")
+        required, optional = VERIFY_KINDS[args.kind]
+        for name, value in vars(args).items():
+            if name in ("command", "kind", "output", "func"):
+                continue
+            flag = "--" + name.replace("_", "-")
+            # `is`, not `in (None, False)`: a given 0 equals False
+            given = value is not None and value is not False
+            if name in required and not given:
+                parser.error(f"verify {args.kind} requires {flag}")
+            if given and name not in required + optional:
+                parser.error(f"{flag} does not apply to verify {args.kind}")
         if args.power is not None and args.power < 0:
             parser.error("--power must be at least 0")
-        if args.oracle and not takes_oracle:
-            parser.error(f"--oracle does not apply to verify {args.kind}")
+        # the parser sets no verify default, so that the loop above sees
+        # which flags were given
+        for name, value in {"d": 5, "p": 5, "alpha": 1, "k_max": 3, "trunc": "upper"}.items():
+            if getattr(args, name) is None:
+                setattr(args, name, value)
     if args.command == "identity":
         if args.trials < 1:
             parser.error("--trials must be at least 1")

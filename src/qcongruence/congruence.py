@@ -39,6 +39,7 @@ from .hypergeom import (
     TheoremCase,
     Truncation,
     Variant,
+    _case_violations,
     theorem_sum,
     truncated_sum,
     truncated_terms,
@@ -131,20 +132,17 @@ class CheckReport:
 
     description: str
     modulus: Modulus
-    valuations: ValuationReport | None
+    valuations: ValuationReport
     status: CheckStatus
     term_count: int = 0
     detail: str | None = None
     oracle_status: CheckStatus | None = None
 
-    @property
-    def passed(self) -> bool:
-        return self.status is CheckStatus.PASS
-
     @classmethod
     def verdict(cls, description: str, modulus: Modulus,
-                valuations: ValuationReport, term_count: int) -> "CheckReport":
-        """PASS or FAIL as the valuations meet their requirements or not."""
+                achieved: dict[int, Valuation], term_count: int) -> "CheckReport":
+        """PASS or FAIL as the achieved valuations meet the modulus or not."""
+        valuations = ValuationReport.compare(achieved, modulus.parts)
         status = CheckStatus.PASS if valuations.passed else CheckStatus.FAIL
         return cls(description, modulus, valuations, status, term_count)
 
@@ -163,8 +161,7 @@ def check_congruence(
     FAIL.
     """
     achieved = {m: phi_valuation(f, m) for m in sorted(mod.parts)}
-    report = CheckReport.verdict(description, mod,
-                                 ValuationReport.compare(achieved, mod.parts), term_count)
+    report = CheckReport.verdict(description, mod, achieved, term_count)
     poles = [m for m, v in achieved.items() if isinstance(v, int) and v < 0]
     if poles:
         report.status = CheckStatus.ERROR
@@ -256,22 +253,10 @@ def check_lemma4(d: int, r: int, n: int) -> bool:
     """No multiples of n occur in the progression
     (d+r)/2, (d+r)/2 + d, ..., (d+r)/2 + dn - 2n - r - d.
 
-    Hypotheses (all named on rejection): d >= 3 odd, r odd, r <= d - 4,
-    gcd(d, r) = 1, n >= (d - r)/2 and 2n = -r (mod d).
+    Hypotheses (all named on rejection): the second family's, with
+    d >= 3 in place of d >= 5.
     """
-    bad = []
-    if d < 3 or d % 2 == 0:
-        bad.append("d must be an odd integer >= 3")
-    if r % 2 == 0:
-        bad.append("r must be odd")
-    if r > d - 4:
-        bad.append("r <= d - 4 violated")
-    if math.gcd(d, r) != 1:
-        bad.append("gcd(d, r) = 1 violated")
-    if 2 * n < d - r:
-        bad.append("n >= (d - r)/2 violated")
-    if d >= 1 and (2 * n) % d != (-r) % d:
-        bad.append("2n = -r (mod d) violated")
+    bad = _case_violations(d, r, n, Variant.THM2, d_min=3)
     if bad:
         raise InvalidCase(bad)
     count = (d * n - 2 * n - r) // d
@@ -288,7 +273,6 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         raise InvalidCase(["d must be a positive integer"])
     if n < 1:
         raise InvalidCase(["n must be a positive integer"])
-    mod = phi_modulus(n, 2)
     worst: Valuation = INFINITE
     for k in range(k_max + 1):
         lhs = QProduct().mul_pochhammer(QPochSpec(r - alpha * n, d, k))
@@ -300,7 +284,7 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
             worst = v
     return CheckReport.verdict(
         f"modsquare(alpha={alpha}, r={r}, n={n}, d={d}, k_max={k_max})",
-        mod, ValuationReport.compare({n: worst}, mod.parts), k_max + 1)
+        phi_modulus(n, 2), {n: worst}, k_max + 1)
 
 
 def van_hamme_check(p: int) -> CheckReport:
@@ -317,9 +301,7 @@ def van_hamme_check(p: int) -> CheckReport:
         total += (6 * k + 1) * rising_factorial(half, k) ** 3 / (fact ** 3 * Fraction(4) ** k)
     target = p * (-1) ** ((p - 1) // 2)
     v = rational_p_valuation(total - target, p)
-    mod = Modulus({p: 4})
-    return CheckReport.verdict(f"vanhamme(p={p})", mod,
-                               ValuationReport.compare({p: v}, mod.parts), (p - 1) // 2 + 1)
+    return CheckReport.verdict(f"vanhamme(p={p})", Modulus({p: 4}), {p: v}, (p - 1) // 2 + 1)
 
 
 def enumerate_cases(

@@ -79,10 +79,11 @@ class InvalidCase(ValueError):
         super().__init__("; ".join(self.violations))
 
 
-def _case_violations(d: int, r: int, n: int, variant: Variant) -> list[str]:
+def _case_violations(d: int, r: int, n: int, variant: Variant,
+                     d_min: int = 5) -> list[str]:
     bad = []
-    if d < 5 or d % 2 == 0:
-        bad.append("d must be an odd integer >= 5")
+    if d < d_min or d % 2 == 0:
+        bad.append(f"d must be an odd integer >= {d_min}")
     if r % 2 == 0:
         bad.append("r must be odd")
     if r > d - 4:

@@ -152,6 +152,40 @@ def test_divisor_indices_follow_lemma3():
     assert checks == 66
 
 
+def test_divisor_index_residue_rule():
+    # the conjectured residue rule for lemma 3's short sum at its solved
+    # index j0: with u the least residue of r * m^-1 (mod d), Phi_m divides
+    # S(d, r, j0) exactly when u is odd or u = d - 1.  Checked exactly on
+    # d in {5, 7}, 2 <= m <= 20 with gcd(m, d) = 1, and odd r in
+    # [-d - 8, d - 4] with gcd(d, r) = 1.
+    holds, fails = 0, {}
+    for d in (5, 7):
+        for r in range(-d - 8, d - 3, 2):
+            if math.gcd(d, r) != 1:
+                continue
+            for m in range(2, 21):
+                if math.gcd(m, d) != 1:
+                    continue
+                j0 = (-r * pow(d, -1, m)) % m
+                u = (r * pow(m, -1, d)) % d
+                v = truncated_sum(d, r, j0).valuation(m)
+                if (v >= 1) == (u % 2 == 1 or u == d - 1):
+                    holds += 1
+                else:
+                    fails[d, r, m] = v
+    assert holds + len(fails) == 258
+    # for r >= -d - 2 the rule holds, but for three cases of extra
+    # vanishing with m < d
+    above = {k: v for k, v in fails.items() if k[1] >= -k[0] - 2}
+    assert above == {(5, -7, 4): 1, (7, -9, 3): 1, (7, -5, 4): 1}
+    # below that bound it fails both ways, so the rule needs a lower bound on r
+    below = {k: v for k, v in fails.items()
+             if k[1] < -k[0] - 2 and not (k[2] < k[0] and v >= 1)}
+    assert len(below) == 9
+    assert below[5, -9, 2] == 0     # u = 3 is odd, yet no Phi_2
+    assert below[5, -13, 6] == 1    # u = 2 is even and not d - 1, yet Phi_6
+
+
 def test_criterion_4_d3_regression():
     failures = []
     # the r = 1 family genuinely fails mod Phi_n^2 at d = 3

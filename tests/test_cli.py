@@ -20,6 +20,17 @@ def run_cli(*args):
     )
 
 
+# flags a kind would not read, given last: usage errors, not ignored
+UNREAD_FLAGS = [
+    ("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--p", "7"),
+    ("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--alpha", "1"),
+    ("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--k-max", "3"),
+    ("verify", "lemma4", "--d", "5", "--r", "1", "--n", "7", "--trunc", "upper"),
+    ("verify", "modsquare", "--r", "1", "--n", "7", "--trunc", "full"),
+    ("verify", "vanhamme", "--p", "5", "--trunc", "upper"),
+    ("verify", "vanhamme", "--p", "5", "--d", "5"),
+]
+
 # one exit-code row per contract case: 0 pass, 1 fail, 2 usage/hypothesis
 EXIT_MATRIX = [
     (("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--trunc", "upper"), 0),
@@ -38,6 +49,7 @@ EXIT_MATRIX = [
     (("verify", "thm1", "--d", "5", "--r", "1"), 2),          # missing --n
     (("verify", "nonsense",), 2),
     (("verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--seed", "3"), 2),
+    *((args, 2) for args in UNREAD_FLAGS),
 ]
 
 
@@ -211,6 +223,26 @@ PINNED_VERIFY = [
      '{"command": "verify conj2", "case": {"d": 5, "r": -1, "n": 3, "variant": "thm2", '
      '"trunc": "upper"}, "modulus": {"3": 4}, "achieved": {"3": 4}, "status": "PASS", '
      '"term_count": 3, "elapsed_ms": null, "seed": null}'),
+    # each optional flag left out, so that its default shows
+    (("vanhamme",), 0,
+     '{"command": "verify vanhamme", "case": {"p": 5}, "modulus": {"5": 4}, '
+     '"achieved": {"5": 4}, "status": "PASS", "term_count": 3, "elapsed_ms": null, '
+     '"seed": null}'),
+    (("modsquare", "--r", "1", "--n", "5"), 0,
+     '{"command": "verify modsquare", "case": {"alpha": 1, "r": 1, "n": 5, "d": 5, '
+     '"k_max": 3}, "modulus": {"5": 2}, "achieved": {"5": 2}, "status": "PASS", '
+     '"term_count": 4, "elapsed_ms": null, "seed": null}'),
+    (("lemma3", "--r", "1", "--n", "4"), 0,
+     '{"command": "verify lemma3", "case": {"d": 5, "r": 1, "n": 4, "trunc": "upper"}, '
+     '"modulus": {"2": 1, "4": 1}, "achieved": {"2": 4, "4": 3}, "status": "PASS", '
+     '"term_count": 4, "elapsed_ms": null, "seed": null}'),
+    (("lemma4", "--r", "1", "--n", "7"), 0,
+     '{"command": "verify lemma4", "case": {"d": 5, "r": 1, "n": 7}, "modulus": {}, '
+     '"achieved": {}, "status": "PASS", "term_count": 4, "elapsed_ms": null, "seed": null}'),
+    (("conj2", "--n", "6"), 0,
+     '{"command": "verify conj2", "case": {"d": 5, "r": -1, "n": 6, "variant": "thm1", '
+     '"trunc": "upper"}, "modulus": {"6": 3}, "achieved": {"6": 3}, "status": "PASS", '
+     '"term_count": 6, "elapsed_ms": null, "seed": null}'),
 ]
 
 
@@ -239,7 +271,8 @@ def test_identity_watson_evaluates_each_trial_once(monkeypatch, capsys):
     assert len(calls) == 3 + sum(r["resamples"] for r in records)
 
 
-# flags that do not apply to a verify kind are usage errors, not no-ops
+# flags that do not apply to a verify kind are usage errors, not no-ops;
+# the misused flag is the last one given
 FLAG_MISUSE = [
     ("verify", "conj1", "--d", "5", "--n", "9", "--trunc", "full", "--power", "7"),
     ("verify", "lemma3", "--d", "5", "--r", "1", "--n", "4", "--power", "1"),
@@ -247,6 +280,7 @@ FLAG_MISUSE = [
     ("verify", "lemma4", "--d", "5", "--r", "1", "--n", "7", "--oracle"),
     ("verify", "modsquare", "--alpha", "1", "--r", "1", "--n", "7", "--d", "5", "--oracle"),
     ("verify", "vanhamme", "--p", "5", "--oracle"),
+    *UNREAD_FLAGS,
 ]
 
 
@@ -254,9 +288,76 @@ FLAG_MISUSE = [
 def test_verify_flag_misuse_is_usage_error(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
-    flag = "--power" if "--power" in args else "--oracle"
-    assert flag in proc.stderr and args[1] in proc.stderr
+    flag = [a for a in args if a.startswith("--")][-1]
+    error = proc.stderr.splitlines()[-1]
+    assert error.endswith(f"error: {flag} does not apply to verify {args[1]}")
     assert proc.stdout == ""
+
+
+# a value for each verify flag; the zeros must count as given
+VERIFY_FLAG_VALUES = {"d": "0", "r": "0", "n": "0", "p": "0", "alpha": "0", "k_max": "0",
+                      "trunc": "upper", "power": "0", "oracle": None}
+
+
+def _verify_argv(kind, names):
+    argv = ["verify", kind]
+    for name in names:
+        value = VERIFY_FLAG_VALUES[name]
+        argv += ["--" + name.replace("_", "-")] + ([value] if value is not None else [])
+    return argv
+
+
+VERIFY_KIND_NAMES = ["thm1", "thm2", "conj1", "conj2", "conj3", "lemma3", "lemma4",
+                     "modsquare", "vanhamme"]
+
+
+@pytest.mark.parametrize("kind", VERIFY_KIND_NAMES)
+def test_verify_accepts_exactly_the_flags_of_its_row(kind, capsys):
+    # in-process: every verify flag, given with its required ones, parses
+    # exactly when the kind's row names it; leaving out a required flag fails
+    from qcongruence import cli
+
+    required, optional = cli.VERIFY_KINDS[kind]
+    for name in VERIFY_FLAG_VALUES:
+        argv = _verify_argv(kind, dict.fromkeys((*required, name)))
+        if name in required + optional:
+            cli._parse_args(cli.build_parser(), argv)
+            continue
+        with pytest.raises(SystemExit):
+            cli._parse_args(cli.build_parser(), argv)
+        flag = "--" + name.replace("_", "-")
+        assert capsys.readouterr().err.endswith(f"{flag} does not apply to verify {kind}\n")
+    for name in required:
+        with pytest.raises(SystemExit):
+            cli._parse_args(cli.build_parser(), _verify_argv(kind, set(required) - {name}))
+        assert capsys.readouterr().err.endswith(f"verify {kind} requires --{name}\n")
+
+
+def test_verify_kinds_name_every_verify_flag():
+    # a new verify flag cannot bypass the table: every row names a flag the
+    # verify parser has, and every flag it has is named by some row
+    import argparse
+
+    from qcongruence import cli
+
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["verify"]._actions} - {"help", "kind", "output"}
+    named = {name for required, optional in cli.VERIFY_KINDS.values()
+             for name in required + optional}
+    assert named == dests == set(VERIFY_FLAG_VALUES)
+    assert list(cli.VERIFY_KINDS) == VERIFY_KIND_NAMES
+
+
+def test_sweep_parse_keeps_what_the_benchmark_reads():
+    # bench/workloads.py enumerates the reference sweep's cases from these
+    # parsed attributes; a None among them breaks the benchmark's set-up
+    from qcongruence import cli
+
+    args = cli.build_parser().parse_args(["sweep", "--theorem", "thm1",
+                                          "--d-max", "7", "--n-max", "20"])
+    assert args.theorem == "thm1"
+    assert (args.d_max, args.n_max, args.r_min, args.r_max) == (7, 20, -7, 7)
 
 
 def test_conjecture_zero_d_names_hypothesis():

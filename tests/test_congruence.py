@@ -214,6 +214,17 @@ def test_lemma4_examples():
         check_lemma4(5, 1, 8)
 
 
+def test_lemma4_takes_the_second_familys_hypotheses_from_d_3():
+    # lemma 4 shares the second family's hypothesis list, with d >= 3 in
+    # place of the theorems' d >= 5
+    with pytest.raises(InvalidCase) as exc:
+        check_lemma4(1, -3, 2)
+    assert exc.value.violations == ["d must be an odd integer >= 3"]
+    with pytest.raises(InvalidCase) as exc:
+        TheoremCase(3, -1, 2, Variant.THM2)
+    assert exc.value.violations == ["d must be an odd integer >= 5"]
+
+
 def test_lemma4_exhaustive_small():
     import math
     for d in (3, 5, 7, 9):
