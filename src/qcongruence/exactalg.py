@@ -11,11 +11,15 @@ Conventions used everywhere in this package:
   denominator is non-zero with positive leading coefficient, and zero is
   represented as 0/1.
 * ``FactoredFraction`` is a sum as the summation kernel leaves it: an
-  expanded numerator over q**qshift * prod (q**a - 1)**mult.  Cyclotomic
-  valuations are read off it without reducing (whole q**m - 1 factors are
-  peeled off the numerator by additions), and ``+``, ``-`` and ``*``
-  with a Poly, an int or another FactoredFraction keep it factored, with
-  no general polynomial gcd; ``==`` and ``to_ratfunc`` build the canonical
+  expanded numerator over q**qshift * prod (q**a - 1)**mult, with a floor
+  for each Phi_d that the numerator's terms prove: Phi_d divides q**a - 1
+  exactly once when d | a, and the valuation of a sum is at least the
+  least valuation of its terms.  Cyclotomic valuations are read off it
+  without reducing: whole q**m - 1 factors are counted first, from the
+  numerator's Taylor coefficients at q**m = 1, starting at the floor (the
+  least floor over d | m).  ``+``, ``-`` and ``*`` with a Poly, an int or
+  another FactoredFraction keep it factored, with no general polynomial
+  gcd; ``==`` and ``to_ratfunc`` build the canonical
   form from the same valuation counts, by one exact division of numerator
   and denominator.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 __all__ = [
     "ExactDivisionError",
@@ -598,27 +602,21 @@ def _divide_out(p: Poly, phi: Poly) -> int:
         p, count = quot, count + 1
 
 
-def _poly_phi_valuation(p: Poly, m: int) -> int:
-    """Multiplicity of Phi_m in p (p != 0).
+def _poly_phi_valuation(p: Poly, m: int, floor: int = 0) -> int:
+    """Multiplicity of Phi_m in p (p != 0), given that (q**m - 1)**floor
+    divides p.
 
-    Whole (q**m - 1) factors are peeled off first, each by one division
-    that uses additions only; Phi_m divides q**m - 1 exactly once, so each
-    exact one counts 1.  The first remainder R decides the rest: Phi_m
-    divides the cofactor exactly when it divides R, and only then does
-    repeated division by Phi_m itself go on.
+    Whole (q**m - 1) factors are counted first (``_binomial_count``); Phi_m
+    divides q**m - 1 exactly once, so each counts 1.  The remainder R of
+    the cofactor decides the rest: Phi_m divides the cofactor exactly when
+    it divides R, and only then is the cofactor built and divided by Phi_m
+    itself.
     """
-    count, cs = 0, list(p.coeffs)
-    while len(cs) > m:
-        quot, rem = _div_binomial(cs, m)
-        if any(rem):
-            break
-        count, cs = count + 1, quot
-    else:
-        rem = cs
+    j, rem = _binomial_count(p.coeffs, m, floor)
     phi = cyclotomic(m)
     if Poly(rem).divmod_monic(phi)[1]:
-        return count
-    return count + _divide_out(Poly(cs), phi)
+        return j
+    return j + _divide_out(Poly(_binomial_quotient(p.coeffs, m, j)), phi)
 
 
 def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> Valuation:
@@ -638,20 +636,61 @@ def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> V
 
 
 # ---------------------------------------------------------------------------
-# Factored fractions
+# Counting q**m - 1 factors.  Write p = sum_c q**c N_c(q**m), 0 <= c < m: the
+# (q**m - 1)-count of p is the least order at y = 1 of the N_c(y), the first j
+# at which some N_c has a non-zero Taylor coefficient
+# T_c(j) = sum_i binomial(i, j) N_c[i], and the T_c(j) at that j are the
+# remainder of p / (q**m - 1)**j by q**m - 1.  Each class is a coefficient
+# list cs[c::m].
+
+def _peel(classes: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """One division of every class by y - 1: the prefix sums of each class.
+    The last one is the class's value at y = 1, its remainder; when that is
+    0, the others are its quotient, negated."""
+    sums = [list(accumulate(x)) for x in classes]
+    return sums, [x.pop() if x else 0 for x in sums]
 
 
-def _div_binomial(cs: list[int], a: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a coefficient list by (q**a - 1).
+def _binomial_count(cs: tuple[int, ...], m: int, floor: int) -> tuple[int, list[int]]:
+    """(j, R) for a non-zero coefficient list that (q**m - 1)**floor
+    divides: j is its (q**m - 1)-count and R the T_c(j), c = 0 .. m - 1.
 
-    Q_i = p_(i+a) + Q_(i+a) and R_i = p_i + Q_i: suffix sums along each
-    residue class mod a, additions only.
+    Peeling y - 1 off every class, one prefix sum each, reads the T_c in
+    order from T_c(0).  A floor f > 0 starts the count there instead: with
+    B_c[k] = binomial(f + k, f) N_c[f + k] and
+    binomial(i, f) binomial(i - f, s) = binomial(f + s, f) binomial(i, f + s),
+    the order-s coefficients of B_c are binomial(f + s, f) T_c(f + s), so
+    peeling the B_c reads the T_c from T_c(f).  The floor is trusted: the
+    orders below it are never read.
     """
-    quot = [0] * max(len(cs) - a, 0)
-    for c in range(min(a, len(quot))):
-        quot[c::a] = list(accumulate(cs[c + a::a][::-1]))[::-1]
-    rem = list(map(operator.add, cs[:a], quot)) + cs[len(quot):a]
-    return quot, rem
+    classes = [cs[c::m] for c in range(m)]
+    if floor:
+        size = len(classes[0]) - floor
+        weights = list(accumulate(range(1, size), lambda w, k: w * (floor + k) // k,
+                                  initial=1))
+        classes = [list(map(operator.mul, weights, x[floor:])) for x in classes]
+    s = 0
+    while classes[0]:  # the longest class
+        sums, rem = _peel(classes)
+        if any(rem):
+            scale = (-1) ** s * math.comb(floor + s, floor)
+            return floor + s, [r // scale for r in rem]
+        classes, s = sums, s + 1
+    raise ValueError("the polynomial is zero or the floor is past its degree")
+
+
+def _binomial_quotient(cs: tuple[int, ...], m: int, j: int) -> list[int]:
+    """The coefficients of p / (q**m - 1)**j, up to sign; raises
+    ExactDivisionError when (q**m - 1)**j does not divide p."""
+    classes = [cs[c::m] for c in range(m)]
+    for _ in range(j):
+        classes, rem = _peel(classes)
+        if any(rem):
+            raise ExactDivisionError("division by q**m - 1 left a remainder")
+    out = [0] * (m * len(classes[0]))
+    for c, x in enumerate(classes):
+        out[c:c + m * len(x):m] = x
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +758,30 @@ def _expand_factors(factors: dict[int, int]) -> list[int]:
     return _unpack(_mul_packed(1, factors, B), B)
 
 
+# ---------------------------------------------------------------------------
+# Factored fractions
+
+
+def _phi_exponents(factors: dict[int, int]) -> dict[int, int]:
+    """The exponent of each Phi_d in prod (q**a - 1)**mult: Phi_d divides
+    q**a - 1 exactly once when d | a."""
+    out: dict[int, int] = {}
+    for a, mult in factors.items():
+        if mult:
+            for d in divisors(a):
+                out[d] = out.get(d, 0) + mult
+    return out
+
+
+def _least_floor(floors: Iterable[dict[int, int]]) -> dict[int, int]:
+    """The floor of a sum whose terms have these floors: the least of them
+    at each index (an index a floor leaves out is 0 there)."""
+    out = None
+    for f in floors:
+        out = dict(f) if out is None else {d: min(v, f[d]) for d, v in out.items() if d in f}
+    return out or {}
+
+
 class FactoredFraction:
     """num / (q**qshift * prod (q**a - 1)**mult), with every a, mult >= 1.
 
@@ -726,21 +789,46 @@ class FactoredFraction:
     map, unreduced.  Phi_m divides q**a - 1 exactly once when m | a, and
     never divides q, so the denominator's Phi_m multiplicity is the sum of
     mult over the a that m divides; the valuation at m needs only the
-    numerator's, which ``_poly_phi_valuation`` counts.  ``+``, ``-`` and
-    ``*`` with a Poly, an int or another FactoredFraction stay factored:
-    a sum goes over the larger multiplicity of each factor and the larger
-    q-shift, a product adds both.  ``to_ratfunc`` reduces to the canonical
-    RatFunc by the same counts: it cancels each Phi_c as often as both
-    numerator and denominator hold it.  ``==`` and arithmetic with a
-    RatFunc go through it.
+    numerator's, which ``_poly_phi_valuation`` counts.
+
+    ``_floor`` maps d to a proven lower bound on the numerator's Phi_d
+    multiplicity (an index it leaves out has bound 0).  It is trusted,
+    never checked, so only ``_with_floor`` sets it, and the constructor
+    leaves it empty.  ``qsum`` takes it from its terms: a term
+    sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
+    sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
+    when d | a; and the valuation of a sum is at least the least
+    valuation of its terms.  q**m - 1 is the product of the Phi_d, d | m,
+    each once, so the numerator holds at least the least floor over d | m
+    of whole q**m - 1 factors (``binomial_floor``), and the count starts
+    there.
+
+    ``+``, ``-`` and ``*`` with a Poly, an int or another FactoredFraction
+    stay factored: a sum goes over the larger multiplicity of each factor
+    and the larger q-shift, a product adds both.  A negation keeps the
+    floor, a product adds the two, and a sum keeps the lesser of the two,
+    which its cofactors only raise.  ``to_ratfunc`` reduces to the
+    canonical RatFunc by the same counts: it cancels each Phi_c as often
+    as both numerator and denominator hold it.  ``==`` and arithmetic with
+    a RatFunc go through it.
     """
 
-    __slots__ = ("num", "factors", "qshift")
+    __slots__ = ("num", "factors", "qshift", "_floor")
 
     def __init__(self, num: Poly, factors: dict[int, int], qshift: int):
         self.num = num
         self.factors = factors
         self.qshift = qshift
+        self._floor: dict[int, int] = {}
+
+    @classmethod
+    def _with_floor(cls, num: Poly, factors: dict[int, int], qshift: int,
+                    floor: dict[int, int]) -> "FactoredFraction":
+        """The fraction with a floor that the caller has proven: ``qsum``
+        from its terms, and the arithmetic below from its operands'."""
+        value = cls(num, factors, qshift)
+        value._floor = floor
+        return value
 
     @property
     def is_zero(self) -> bool:
@@ -753,11 +841,17 @@ class FactoredFraction:
         """Exponent of Phi_m in the (unreduced) denominator."""
         return sum(mult for a, mult in self.factors.items() if a % m == 0)
 
+    def binomial_floor(self, m: int) -> int:
+        """A proven lower bound on the number of q**m - 1 factors in the
+        numerator."""
+        return min(self._floor.get(d, 0) for d in divisors(m))
+
     def valuation(self, m: int) -> Valuation:
         """Exponent of Phi_m in the value; INFINITE for zero."""
         if self.num.is_zero:
             return INFINITE
-        return _poly_phi_valuation(self.num, m) - self.den_multiplicity(m)
+        return (_poly_phi_valuation(self.num, m, self.binomial_floor(m))
+                - self.den_multiplicity(m))
 
     def to_ratfunc(self) -> RatFunc:
         """The canonical RatFunc.  Numerator and expanded denominator are
@@ -770,7 +864,8 @@ class FactoredFraction:
             return RATFUNC_ZERO
         common = ONE
         for c in {c for a in self.factors for c in divisors(a)}:
-            v = min(self.den_multiplicity(c), _poly_phi_valuation(num, c))
+            v = min(self.den_multiplicity(c),
+                    _poly_phi_valuation(num, c, self.binomial_floor(c)))
             if v:
                 common = common * cyclotomic(c) ** v
         num = num.div_exact(common)
@@ -807,12 +902,13 @@ class FactoredFraction:
             factors[a] = max(factors.get(a, 0), m)
         qshift = max(self.qshift, other.qshift)
         num = self._over(factors, qshift) + other._over(factors, qshift)
-        return FactoredFraction(num, factors, qshift)
+        return FactoredFraction._with_floor(num, factors, qshift,
+                                            _least_floor([self._floor, other._floor]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction(-self.num, self.factors, self.qshift)
+        return FactoredFraction._with_floor(-self.num, self.factors, self.qshift, self._floor)
 
     def __sub__(self, other) -> Union["FactoredFraction", RatFunc]:
         return self + (-other)
@@ -828,7 +924,11 @@ class FactoredFraction:
         factors = dict(self.factors)
         for a, m in other.factors.items():
             factors[a] = factors.get(a, 0) + m
-        return FactoredFraction(self.num * other.num, factors, self.qshift + other.qshift)
+        floor = dict(self._floor)
+        for d, v in other._floor.items():
+            floor[d] = floor.get(d, 0) + v
+        return FactoredFraction._with_floor(self.num * other.num, factors,
+                                            self.qshift + other.qshift, floor)
 
     __rmul__ = __mul__
 

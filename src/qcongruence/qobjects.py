@@ -36,7 +36,9 @@ from .exactalg import (
     Poly,
     RatFunc,
     _div_packed,
+    _least_floor,
     _mul_packed,
+    _phi_exponents,
     _slot_bits,
     _unpack,
 )
@@ -186,7 +188,8 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     multiplying in and exactly dividing out the binomials that differ, or
     expanded afresh when that takes fewer binomial steps, so a
     hypergeometric series costs about one binomial per factor of its term
-    ratio.  The result keeps the common denominator as its factor map;
+    ratio.  The result keeps the common denominator as its factor map, and
+    as its floor the least Phi_d multiplicity of the P(e_k), for each d;
     nothing is reduced.
 
     Every polynomial on the way is one int, its value at q = 2**B (see
@@ -245,7 +248,8 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
         term = cur << shift * B
         acc = acc + term if sign > 0 else acc - term
     acc = _mul_packed(acc, common or {}, B)
-    return FactoredFraction(Poly(_unpack(acc, B)), den_need, qden)
+    floor = _least_floor(_phi_exponents(exps) for *_, exps in rows)
+    return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den_need, qden, floor)
 
 
 # ---------------------------------------------------------------------------

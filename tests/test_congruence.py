@@ -454,6 +454,10 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
 
     for owner, name in [(qobjects, "qsum"), (hypergeom, "qsum"), (congruence, "qsum"),
                         (exactalg.Poly, "divmod_monic"), (exactalg, "_poly_phi_valuation"),
-                        (exactalg, "cyclotomic"), (congruence, "cyclotomic")]:
+                        (exactalg, "cyclotomic"), (congruence, "cyclotomic"),
+                        (exactalg, "_binomial_count"), (exactalg, "_binomial_quotient"),
+                        (exactalg, "_peel"), (exactalg, "_phi_exponents"),
+                        (exactalg, "_least_floor"), (qobjects, "_phi_exponents"),
+                        (qobjects, "_least_floor")]:
         monkeypatch.setattr(owner, name, forbidden)
     assert [oracle_check(terms, mod) for terms, mod, _ in grid] == expected

@@ -24,6 +24,8 @@ from qcongruence.exactalg import (
 )
 from qcongruence import exactalg
 from qcongruence.exactalg import (
+    _binomial_count,
+    _binomial_quotient,
     _div_packed,
     _expand_factors,
     _poly_phi_valuation,
@@ -393,6 +395,34 @@ def test_peeled_valuation_finishes_by_division(m, j, g):
     with mock.patch.object(exactalg, "_divide_out", wraps=exactalg._divide_out) as spy:
         assert _poly_phi_valuation(p, m) == j + divmod_count(g, m)
     assert spy.called
+
+
+@given(nonzero_polys, st.integers(1, 12), st.integers(0, 16), st.integers(0, 16))
+@example(P(1), 2, 8, 8)     # (q^2 - 1)^8: one class is empty from the floor on
+@example(P(2, 1), 1, 12, 12)
+def test_binomial_count_from_any_floor(g, m, k, floor):
+    # p = g (q^m - 1)^k: every floor up to k gives the same count and the
+    # same remainder, which is that of p / (q^m - 1)^j by q^m - 1
+    p, floor = g * binomial(m) ** k, min(floor, k)
+    j, rem = _binomial_count(p.coeffs, m, floor)
+    assert j == k + _binomial_count(g.coeffs, m, 0)[0]
+    quot = p.div_exact(binomial(m) ** j)
+    assert Poly(rem) == quot.divmod_monic(binomial(m))[1] != ZERO
+    assert Poly(_binomial_quotient(p.coeffs, m, j)) in (quot, -quot)
+    assert _poly_phi_valuation(p, m, floor) == divmod_count(p, m)
+
+
+def test_binomial_count_rejects_a_zero_or_a_floor_past_the_degree():
+    # a floor is trusted, not checked, but (q^m - 1)^floor of a degree above
+    # the polynomial's is an error, and so is a zero polynomial or a quotient
+    # that leaves a remainder, never an endless loop
+    p = binomial(2) ** 8
+    with pytest.raises(ValueError):
+        _binomial_count(p.coeffs, 2, 9)
+    with pytest.raises(ValueError):
+        _binomial_count((), 3, 0)
+    with pytest.raises(ExactDivisionError):
+        _binomial_quotient(p.coeffs, 2, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 import operator
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from qcongruence import exactalg
 from qcongruence.exactalg import ONE, Poly, RatFunc, _expand_factors, poly_gcd
 from qcongruence.exactalg import INFINITE, FactoredFraction, phi_valuation
+from qcongruence.exactalg import _binomial_count, _poly_phi_valuation
+from qcongruence.congruence import enumerate_cases
 from qcongruence.qobjects import (
     QPochSpec,
     QProduct,
@@ -17,7 +21,7 @@ from qcongruence.qobjects import (
     qsum,
     rising_factorial,
 )
-from qcongruence.hypergeom import _term_product, truncated_sum
+from qcongruence.hypergeom import Variant, _term_product, theorem_sum, truncated_sum
 
 
 def expand(*binomials):
@@ -330,3 +334,92 @@ def test_poly_with_other_operand_defers_to_it(op, other, reference):
     got = op(p, other)
     assert type(got) is type(other)
     assert got == op(RatFunc(p), reference)
+
+
+# ---------------------------------------------------------------------------
+# floors: the Phi_d multiplicities that a sum's terms prove
+
+
+# term lists times a shared (q^a - 1)^k, so that floors reach the size at
+# which a count starts from them
+shared_power_lists = st.tuples(qproduct_lists, st.integers(1, 12), st.integers(0, 12))
+
+
+def build_shared(case):
+    raw, a, k = case
+    terms = build_terms(raw)
+    for t in terms:
+        t.mul_one_minus_q(a, k)
+    return terms
+
+
+def assert_true_floor(value):
+    """Every floor is at most the plain count, and every valuation is the
+    plain count's."""
+    for d, v in value._floor.items():
+        assert _poly_phi_valuation(value.num, d) >= v, (d, v)
+    for m in range(1, 13):
+        assert value.valuation(m) == (_poly_phi_valuation(value.num, m)
+                                      - value.den_multiplicity(m))
+
+
+@given(shared_power_lists)
+@example(([(1, 0, {}, False)], 4, 12))
+@example(([(1, 0, {}, False), (-1, 3, {2: 1}, False)], 6, 12))
+def test_qsum_floor_is_a_lower_bound_and_counts_from_it_match(case):
+    value = qsum(build_shared(case))
+    if value.is_zero:
+        return
+    assert_true_floor(value)
+    cs = value.num.coeffs
+    for m in range(1, 13):
+        assert _binomial_count(cs, m, value.binomial_floor(m)) == _binomial_count(cs, m, 0)
+
+
+@given(st.sampled_from([-1, 1]), st.integers(-4, 4),
+       st.dictionaries(st.integers(1, 12), st.integers(-3, 12), max_size=4))
+def test_qsum_floor_of_one_term_is_exact(sign, qexp, factors):
+    t = QProduct()
+    t.sign, t.qexp = sign, qexp
+    t.factors = {a: m for a, m in factors.items() if m}
+    value = qsum([t])
+    for d in range(1, 13):
+        assert value._floor.get(d, 0) == _poly_phi_valuation(value.num, d)
+
+
+def test_theorem_counts_from_the_floor_match_counts_from_zero():
+    # both theorem families, d <= 7, n <= 14, every index up to 2n with a
+    # non-zero floor; most counts end at the floor itself
+    at_floor = 0
+    for variant in Variant:
+        for case in enumerate_cases(variant, 7, 14, (-7, 7)):
+            value = theorem_sum(case)
+            for m in range(1, 2 * case.n + 1):
+                floor = value.binomial_floor(m)
+                if floor:
+                    got = _binomial_count(value.num.coeffs, m, floor)
+                    assert got == _binomial_count(value.num.coeffs, m, 0), (case, m)
+                    at_floor += got[0] == floor
+    assert at_floor > 300
+
+
+def test_count_from_a_floor_finishes_by_division():
+    # (q^2 - 1)^8 (1 + q): the floor at 2 is 8 and so is the (q^2 - 1)-count,
+    # but Phi_2 divides once more
+    terms = [QProduct().mul_one_minus_q(2, 8), QProduct().mul_one_minus_q(2, 8).mul_qpow(1)]
+    value = qsum(terms)
+    assert value.binomial_floor(2) == 8
+    assert _binomial_count(value.num.coeffs, 2, 8)[0] == 8
+    with mock.patch.object(exactalg, "_divide_out", wraps=exactalg._divide_out) as spy:
+        assert value.valuation(2) == 9
+    assert spy.called
+
+
+@pytest.mark.parametrize("op", ARITHMETIC)
+@given(shared_power_lists, shared_power_lists,
+       st.lists(st.integers(-3, 3), max_size=4).map(Poly))
+def test_factored_arithmetic_keeps_a_true_floor(op, case_a, case_b, p):
+    a, b = qsum(build_shared(case_a)), qsum(build_shared(case_b))
+    for value in (op(a, b), op(a, p), op(p, a), -a):
+        if not value.is_zero:
+            assert_true_floor(value)
