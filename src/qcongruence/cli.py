@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
-from .exactalg import InfiniteValuation, ValuationReport
+from .exactalg import INFINITE, ValuationReport
 from .hypergeom import (
     InvalidCase,
     TheoremCase,
@@ -79,7 +79,7 @@ ORACLE_HELP = ("cross-check each verdict by walking the sum's terms at a root "
 
 
 def _json_valuation(v) -> object:
-    return "infinite" if isinstance(v, InfiniteValuation) else v
+    return "infinite" if v == INFINITE else v
 
 
 def _report_record(command: str, case_fields: dict, report: CheckReport,

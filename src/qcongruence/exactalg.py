@@ -19,9 +19,11 @@ Conventions used everywhere in this package:
   numerator's Taylor coefficients at q**m = 1, starting at the floor (the
   least floor over d | m).  ``+``, ``-`` and ``*`` with a Poly, an int or
   another FactoredFraction keep it factored, with no general polynomial
-  gcd; ``==`` and ``to_ratfunc`` build the canonical
-  form from the same valuation counts, by one exact division of numerator
-  and denominator.
+  gcd; ``==`` and ``to_ratfunc`` build the canonical form from the same
+  valuation counts: they divide the numerator once and build the reduced
+  denominator from its cyclotomic factors.
+* A valuation is an int, or ``INFINITE`` (``math.inf``) for the zero
+  function: it compares above every int, equals itself and is never an int.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
   for a slot width B of whole bytes (``_mul_packed``, ``_div_packed``,
   ``_unpack``).  Evaluation at 2**B is a ring homomorphism, so products by
@@ -48,7 +50,6 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "ExactDivisionError",
     "FactoredFraction",
-    "InfiniteValuation",
     "INFINITE",
     "Poly",
     "RatFunc",
@@ -165,14 +166,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power; use RatFunc")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, ONE)
 
     def shifted(self, k: int) -> "Poly":
         """Multiply by q**k (k >= 0)."""
@@ -194,12 +188,7 @@ class Poly:
     @property
     def content(self) -> int:
         """Non-negative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_part(self) -> "Poly":
         """Divide out the content, preserving the sign of the leading term."""
@@ -215,11 +204,12 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def divmod_monic(self, div: "Poly") -> tuple["Poly", "Poly"]:
-        """Quotient and remainder by a monic divisor (always exact over Z)."""
-        if div.lead != 1:
-            raise ValueError("divisor must be monic")
-        dd = div.degree
+    def _divmod(self, div: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder by a non-zero divisor; raises
+        ExactDivisionError when a leading coefficient of the running
+        remainder is not a multiple of the divisor's (never for a monic
+        divisor)."""
+        dd, lead = div.degree, div.lead
         if self.degree < dd:
             return ZERO, self
         rem = list(self.coeffs)
@@ -228,6 +218,10 @@ class Poly:
         for i in range(self.degree, dd - 1, -1):
             c = rem[i]
             if c:
+                if lead != 1:
+                    if c % lead:
+                        raise ExactDivisionError("leading coefficient does not divide")
+                    c //= lead
                 k = i - dd
                 quot[k] = c
                 rem[i] = 0
@@ -235,37 +229,22 @@ class Poly:
                     rem[k + j] -= c * dj
         return Poly(quot), Poly(rem[:dd])
 
+    def divmod_monic(self, div: "Poly") -> tuple["Poly", "Poly"]:
+        """Quotient and remainder by a monic divisor (always exact over Z)."""
+        if div.lead != 1:
+            raise ValueError("divisor must be monic")
+        return self._divmod(div)
+
     def div_exact(self, div: "Poly") -> "Poly":
         """Exact division in Z[q]; raises ExactDivisionError otherwise."""
         if div.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return ZERO
-        if div.lead == 1:
-            q, r = self.divmod_monic(div)
-            if not r.is_zero:
-                raise ExactDivisionError("division left a remainder")
-            return q
-        dd, lead = div.degree, div.lead
-        if self.degree < dd:
-            raise ExactDivisionError("divisor degree exceeds dividend degree")
-        rem = list(self.coeffs)
-        quot = [0] * (self.degree - dd + 1)
-        body = [(j, c) for j, c in enumerate(div.coeffs[:-1]) if c]
-        for i in range(self.degree, dd - 1, -1):
-            c = rem[i]
-            if c:
-                if c % lead:
-                    raise ExactDivisionError("leading coefficient does not divide")
-                t = c // lead
-                k = i - dd
-                quot[k] = t
-                rem[i] = 0
-                for j, dj in body:
-                    rem[k + j] -= t * dj
-        if any(rem):
+        q, r = self.divmod_monic(div) if div.lead == 1 else self._divmod(div)
+        if r:
             raise ExactDivisionError("division left a remainder")
-        return Poly(quot)
+        return q
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -304,6 +283,19 @@ def _as_poly(x: Union[Poly, int]) -> Poly:
     if isinstance(x, int):
         return Poly((x,))
     raise TypeError(f"cannot interpret {x!r} as a polynomial")
+
+
+def _power(base, n: int, one):
+    """base**n, n >= 0, by square-and-multiply; ``one`` is the unit of
+    base's ring."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +500,7 @@ class RatFunc:
         return _as_ratfunc(other) * self.inverse()
 
     def __pow__(self, n: int) -> "RatFunc":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = RATFUNC_ONE
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self if n >= 0 else self.inverse(), abs(n), RATFUNC_ONE)
 
     def evaluate(self, t) -> Fraction:
         """Exact value at q = t; raises ZeroDivisionError on a pole."""
@@ -551,49 +534,17 @@ ratfunc_normalize = RatFunc
 # Valuations
 
 
-class InfiniteValuation:
-    """Valuation of the zero function; compares greater than every integer."""
+# the valuation of zero: above every integer, equal only to itself, never an int
+INFINITE = math.inf
 
-    _instance: "InfiniteValuation | None" = None
-
-    def __new__(cls) -> "InfiniteValuation":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __reduce__(self):
-        return (InfiniteValuation, ())
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InfiniteValuation)
-
-    def __hash__(self) -> int:
-        return hash("InfiniteValuation")
-
-    def __ge__(self, other) -> bool:
-        return True
-
-    def __gt__(self, other) -> bool:
-        return not isinstance(other, InfiniteValuation)
-
-    def __le__(self, other) -> bool:
-        return isinstance(other, InfiniteValuation)
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "INFINITE"
-
-
-INFINITE = InfiniteValuation()
-
-Valuation = Union[int, InfiniteValuation]
+Valuation = Union[int, float]
 
 
 def _divide_out(p: Poly, phi: Poly) -> int:
-    """Multiplicity of the monic factor phi in p (p != 0), by repeated
-    division."""
+    """Multiplicity of the monic factor phi in p, by repeated division;
+    raises ValueError for p = 0, which every phi divides."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no finite multiplicity")
     count = 0
     while True:
         quot, rem = p.divmod_monic(phi)
@@ -609,21 +560,22 @@ def _poly_phi_valuation(p: Poly, m: int, floor: int = 0) -> int:
     Whole (q**m - 1) factors are counted first (``_binomial_count``); Phi_m
     divides q**m - 1 exactly once, so each counts 1.  The remainder R of
     the cofactor decides the rest: Phi_m divides the cofactor exactly when
-    it divides R, and only then is the cofactor built and divided by Phi_m
-    itself.
+    it divides R.  Only then, which no valuation of the capped thm1/thm2
+    sweep grids reaches, is p itself divided by Phi_m until a remainder
+    shows.
     """
     j, rem = _binomial_count(p.coeffs, m, floor)
     phi = cyclotomic(m)
     if Poly(rem).divmod_monic(phi)[1]:
         return j
-    return j + _divide_out(Poly(_binomial_quotient(p.coeffs, m, j)), phi)
+    return _divide_out(p, phi)
 
 
 def phi_valuation(f: Union[RatFunc, "FactoredFraction", Poly, int], m: int) -> Valuation:
     """Exponent of the m-th cyclotomic polynomial in f.
 
-    Negative when the factor lives in the denominator; INFINITE for f = 0
-    (a distinct outcome, never an integer).
+    Negative when the factor lives in the denominator; INFINITE
+    (``math.inf``) for f = 0, a distinct outcome that is never an int.
     """
     if m < 1:
         raise ValueError("cyclotomic index must be a positive integer")
@@ -677,20 +629,6 @@ def _binomial_count(cs: tuple[int, ...], m: int, floor: int) -> tuple[int, list[
             return floor + s, [r // scale for r in rem]
         classes, s = sums, s + 1
     raise ValueError("the polynomial is zero or the floor is past its degree")
-
-
-def _binomial_quotient(cs: tuple[int, ...], m: int, j: int) -> list[int]:
-    """The coefficients of p / (q**m - 1)**j, up to sign; raises
-    ExactDivisionError when (q**m - 1)**j does not divide p."""
-    classes = [cs[c::m] for c in range(m)]
-    for _ in range(j):
-        classes, rem = _peel(classes)
-        if any(rem):
-            raise ExactDivisionError("division by q**m - 1 left a remainder")
-    out = [0] * (m * len(classes[0]))
-    for c, x in enumerate(classes):
-        out[c:c + m * len(x):m] = x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -854,22 +792,21 @@ class FactoredFraction:
                 - self.den_multiplicity(m))
 
     def to_ratfunc(self) -> RatFunc:
-        """The canonical RatFunc.  Numerator and expanded denominator are
-        each divided once by prod Phi_c**v_c, where v_c is the smaller of
-        the two multiplicities of Phi_c; then the common power of q goes.
-        The denominator is a product of monic binomials and q, so what is
-        left of it is monic and coprime to the numerator."""
+        """The canonical RatFunc.  The denominator holds Phi_c e_c times;
+        v_c is the lesser of e_c and the numerator's count.  So the numerator
+        is divided once, by prod Phi_c**v_c, the reduced denominator is built
+        as prod Phi_c**(e_c - v_c), and then the common power of q goes.
+        That product is monic and coprime to the numerator."""
         num = self.num
         if num.is_zero:
             return RATFUNC_ZERO
-        common = ONE
+        common = den = ONE
         for c in {c for a in self.factors for c in divisors(a)}:
-            v = min(self.den_multiplicity(c),
-                    _poly_phi_valuation(num, c, self.binomial_floor(c)))
-            if v:
-                common = common * cyclotomic(c) ** v
+            e = self.den_multiplicity(c)
+            v = min(e, _poly_phi_valuation(num, c, self.binomial_floor(c)))
+            common = common * cyclotomic(c) ** v
+            den = den * cyclotomic(c) ** (e - v)
         num = num.div_exact(common)
-        den = Poly(_expand_factors(self.factors)).div_exact(common)
         qstrip = min(num.split_monomial()[0], self.qshift)
         return RatFunc._from_canonical(Poly(num.coeffs[qstrip:]),
                                        den.shifted(self.qshift - qstrip))

@@ -243,6 +243,11 @@ PINNED_VERIFY = [
      '{"command": "verify conj2", "case": {"d": 5, "r": -1, "n": 6, "variant": "thm1", '
      '"trunc": "upper"}, "modulus": {"6": 3}, "achieved": {"6": 3}, "status": "PASS", '
      '"term_count": 6, "elapsed_ms": null, "seed": null}'),
+    # an identically-zero difference: its valuation is written "infinite"
+    (("modsquare", "--alpha", "0", "--r", "1", "--n", "7"), 0,
+     '{"command": "verify modsquare", "case": {"alpha": 0, "r": 1, "n": 7, "d": 5, '
+     '"k_max": 3}, "modulus": {"7": 2}, "achieved": {"7": "infinite"}, "status": "PASS", '
+     '"term_count": 4, "elapsed_ms": null, "seed": null}'),
 ]
 
 

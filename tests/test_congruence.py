@@ -455,7 +455,8 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
     for owner, name in [(qobjects, "qsum"), (hypergeom, "qsum"), (congruence, "qsum"),
                         (exactalg.Poly, "divmod_monic"), (exactalg, "_poly_phi_valuation"),
                         (exactalg, "cyclotomic"), (congruence, "cyclotomic"),
-                        (exactalg, "_binomial_count"), (exactalg, "_binomial_quotient"),
+                        (exactalg, "_binomial_count"), (exactalg, "_divide_out"),
+                        (exactalg.Poly, "_divmod"), (exactalg.Poly, "div_exact"),
                         (exactalg, "_peel"), (exactalg, "_phi_exponents"),
                         (exactalg, "_least_floor"), (qobjects, "_phi_exponents"),
                         (qobjects, "_least_floor")]:

@@ -25,8 +25,8 @@ from qcongruence.exactalg import (
 from qcongruence import exactalg
 from qcongruence.exactalg import (
     _binomial_count,
-    _binomial_quotient,
     _div_packed,
+    _divide_out,
     _expand_factors,
     _poly_phi_valuation,
     _unpack,
@@ -150,7 +150,13 @@ def test_poly_division():
     assert num.div_exact(P(-1, 1)) == P(1, 1)
     quot, rem = P(1, 1, 1).divmod_monic(P(0, 1))
     assert quot == P(1, 1) and rem == ONE
-    with pytest.raises(Exception):
+    # a non-monic divisor, exact and not: (2q + 1)(3q^2 - q + 5), and
+    # 4q^2 + 3 = (2q + 1)(2q - 1) + 4
+    assert P(5, 9, 1, 6).div_exact(P(1, 2)) == P(5, -1, 3)
+    assert P(3, 0, 4)._divmod(P(1, 2)) == (P(-1, 2), P(4))
+    with pytest.raises(ExactDivisionError):
+        P(3, 0, 4).div_exact(P(1, 2))
+    with pytest.raises(ExactDivisionError):
         P(1, 1).div_exact(P(0, 2))
 
 
@@ -408,21 +414,20 @@ def test_binomial_count_from_any_floor(g, m, k, floor):
     assert j == k + _binomial_count(g.coeffs, m, 0)[0]
     quot = p.div_exact(binomial(m) ** j)
     assert Poly(rem) == quot.divmod_monic(binomial(m))[1] != ZERO
-    assert Poly(_binomial_quotient(p.coeffs, m, j)) in (quot, -quot)
     assert _poly_phi_valuation(p, m, floor) == divmod_count(p, m)
 
 
 def test_binomial_count_rejects_a_zero_or_a_floor_past_the_degree():
     # a floor is trusted, not checked, but (q^m - 1)^floor of a degree above
-    # the polynomial's is an error, and so is a zero polynomial or a quotient
-    # that leaves a remainder, never an endless loop
+    # the polynomial's is an error, and so is a zero polynomial, whether it
+    # is counted by prefix sums or by repeated division: never an endless loop
     p = binomial(2) ** 8
     with pytest.raises(ValueError):
         _binomial_count(p.coeffs, 2, 9)
     with pytest.raises(ValueError):
         _binomial_count((), 3, 0)
-    with pytest.raises(ExactDivisionError):
-        _binomial_quotient(p.coeffs, 2, 9)
+    with pytest.raises(ValueError):
+        _divide_out(ZERO, cyclotomic(2))
 
 
 # ---------------------------------------------------------------------------
