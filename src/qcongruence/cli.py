@@ -60,6 +60,7 @@ EXIT_ERROR = 2
 SWEEP_D_MAX = 9
 SWEEP_N_MAX = 40
 SWEEP_R_RANGE = (-7, 7)
+_M_DEFAULT = 2
 
 # per verify kind: the flags it requires and the flags it may take; any
 # other verify flag is a usage error
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ident = sub.add_parser("identity", help="randomized exact identity checks")
     ident.add_argument("kind", choices=IDENTITY_KINDS)
-    ident.add_argument("--m", type=int, default=2, help="number of parameter pairs")
+    ident.add_argument("--m", type=int, default=_M_DEFAULT, help="number of parameter pairs")
     ident.add_argument("--N", type=int, default=None, help="termination order")
     ident.add_argument("--trials", type=int, default=20)
     ident.add_argument("--seed", type=int, default=0)
@@ -407,6 +408,10 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str] | None):
         m_min = IDENTITY_KINDS[args.kind][3]
         if m_min is not None and args.m < m_min:
             parser.error(f"identity {args.kind} needs --m at least {m_min}")
+        # a kind that takes no pairs still accepts the default, so that a
+        # command line that spells it out keeps running
+        if m_min is None and args.m != _M_DEFAULT:
+            parser.error(f"--m does not apply to identity {args.kind}")
     if args.command == "sweep":
         if args.jobs < 1:
             parser.error("--jobs must be at least 1")

@@ -162,7 +162,7 @@ def check_congruence(
     """
     achieved = {m: phi_valuation(f, m) for m in sorted(mod.parts)}
     report = CheckReport.verdict(description, mod, achieved, term_count)
-    poles = [m for m, v in achieved.items() if isinstance(v, int) and v < 0]
+    poles = [m for m, v in achieved.items() if v < 0]
     if poles:
         report.status = CheckStatus.ERROR
         report.detail = f"denominator not invertible at cyclotomic index {poles[-1]}"
@@ -267,12 +267,15 @@ def check_lemma4(d: int, r: int, n: int) -> bool:
 def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckReport:
     """(q^(r-an), q^(r+an); q^d)_k = (q^r; q^d)_k^2  (mod Phi_n**2),
     verified for every k up to k_max."""
+    bad = []
     if k_max < 0:
-        raise InvalidCase(["k_max must be non-negative"])
+        bad.append("k_max must be non-negative")
     if d < 1:
-        raise InvalidCase(["d must be a positive integer"])
+        bad.append("d must be a positive integer")
     if n < 1:
-        raise InvalidCase(["n must be a positive integer"])
+        bad.append("n must be a positive integer")
+    if bad:
+        raise InvalidCase(bad)
     worst: Valuation = INFINITE
     for k in range(k_max + 1):
         lhs = QProduct().mul_pochhammer(QPochSpec(r - alpha * n, d, k))
@@ -310,23 +313,17 @@ def enumerate_cases(
     n_max: int,
     r_range: tuple[int, int],
 ) -> list[TheoremCase]:
-    """All validated cases with 5 <= d <= d_max, r in the inclusive range,
-    n <= n_max, both truncations, ordered by (d, r, n, truncation)."""
+    """Every (d, r, n) with 0 <= d <= d_max, r in the inclusive range and
+    0 <= n <= n_max that ``_case_violations`` finds nothing wrong with,
+    both truncations each, ordered by (d, r, n, truncation): exactly the
+    cases of the grid that ``TheoremCase`` accepts."""
     r_min, r_max = r_range
-    out: list[TheoremCase] = []
-    for d in range(5, d_max + 1, 2):
-        for r in range(r_min, r_max + 1):
-            if r % 2 == 0 or r > d - 4 or math.gcd(d, r) != 1:
-                continue
-            if variant is Variant.THM1:
-                n = d - r
-            else:
-                n = (d - r) // 2
-            while n <= n_max:
-                for trunc in (Truncation.UPPER, Truncation.FULL):
-                    out.append(TheoremCase(d, r, n, variant, trunc))
-                n += d
-    return out
+    return [TheoremCase(d, r, n, variant, trunc)
+            for d in range(d_max + 1)
+            for r in range(r_min, r_max + 1)
+            for n in range(n_max + 1)
+            if not _case_violations(d, r, n, variant)
+            for trunc in (Truncation.UPPER, Truncation.FULL)]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +472,7 @@ def _value_series(f: Union[FactoredFraction, RatFunc], m: int, need: int, zeta: 
     return low, list(islice(_taylor(f.num.coeffs, zeta, p), need - low))
 
 
-def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc, Poly, int],
+def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc],
                  mod: Modulus) -> CheckStatus:
     """Verdict from the order of f at a root of unity in F_p, a route that
     shares no code with the summation or the valuation count.
@@ -496,8 +493,6 @@ def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc, Poly, i
     Phi_m-free part of the numerator also vanishes at zeta mod p, which has
     probability about deg/p with p > 2**61.
     """
-    if isinstance(f, (Poly, int)):
-        f = RatFunc(f)
     if isinstance(f, (FactoredFraction, RatFunc)):
         series_at = _value_series
     else:

@@ -11,17 +11,18 @@ Conventions used everywhere in this package:
   denominator is non-zero with positive leading coefficient, and zero is
   represented as 0/1.
 * ``FactoredFraction`` is a sum as the summation kernel leaves it: an
-  expanded numerator over q**qshift * prod (q**a - 1)**mult, with a floor
-  for each Phi_d that the numerator's terms prove: Phi_d divides q**a - 1
-  exactly once when d | a, and the valuation of a sum is at least the
-  least valuation of its terms.  Cyclotomic valuations are read off it
-  without reducing: whole q**m - 1 factors are counted first, from the
-  numerator's Taylor coefficients at q**m = 1, starting at the floor (the
-  least floor over d | m).  ``+``, ``-`` and ``*`` with a Poly, an int or
-  another FactoredFraction keep it factored, with no general polynomial
-  gcd; ``==`` and ``to_ratfunc`` build the canonical form from the same
-  valuation counts: they divide the numerator once and build the reduced
-  denominator from its cyclotomic factors.
+  expanded numerator over q**qshift * prod (q**a - 1)**mult.  ``qsum``
+  alone gives it a floor for each Phi_d, which the numerator's terms
+  prove: Phi_d divides q**a - 1 exactly once when d | a, and the valuation
+  of a sum is at least the least valuation of its terms.  Cyclotomic
+  valuations are read off it without reducing: whole q**m - 1 factors are
+  counted first, from the numerator's Taylor coefficients at q**m = 1,
+  starting at the floor (the least floor over d | m).  ``+``, ``-`` and
+  ``*`` with a Poly, an int or another FactoredFraction keep it factored,
+  with no general polynomial gcd and no floor; ``==`` and ``to_ratfunc``
+  build the canonical form from the same valuation counts: they divide the
+  numerator once and build the reduced denominator from its cyclotomic
+  factors.
 * A valuation is an int, or ``INFINITE`` (``math.inf``) for the zero
   function: it compares above every int, equals itself and is never an int.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
@@ -731,8 +732,9 @@ class FactoredFraction:
 
     ``_floor`` maps d to a proven lower bound on the numerator's Phi_d
     multiplicity (an index it leaves out has bound 0).  It is trusted,
-    never checked, so only ``_with_floor`` sets it, and the constructor
-    leaves it empty.  ``qsum`` takes it from its terms: a term
+    never checked, so only ``qsum`` sets it, through ``_with_floor``; every
+    other fraction, the results of ``+``, ``-`` and ``*`` among them, has
+    none.  ``qsum`` takes it from its terms: a term
     sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
     sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
     when d | a; and the valuation of a sum is at least the least
@@ -743,12 +745,10 @@ class FactoredFraction:
 
     ``+``, ``-`` and ``*`` with a Poly, an int or another FactoredFraction
     stay factored: a sum goes over the larger multiplicity of each factor
-    and the larger q-shift, a product adds both.  A negation keeps the
-    floor, a product adds the two, and a sum keeps the lesser of the two,
-    which its cofactors only raise.  ``to_ratfunc`` reduces to the
-    canonical RatFunc by the same counts: it cancels each Phi_c as often
-    as both numerator and denominator hold it.  ``==`` and arithmetic with
-    a RatFunc go through it.
+    and the larger q-shift, a product adds both.  ``to_ratfunc`` reduces
+    to the canonical RatFunc by the same counts: it cancels each Phi_c as
+    often as both numerator and denominator hold it.  ``==`` and
+    arithmetic with a RatFunc go through it.
     """
 
     __slots__ = ("num", "factors", "qshift", "_floor")
@@ -762,8 +762,8 @@ class FactoredFraction:
     @classmethod
     def _with_floor(cls, num: Poly, factors: dict[int, int], qshift: int,
                     floor: dict[int, int]) -> "FactoredFraction":
-        """The fraction with a floor that the caller has proven: ``qsum``
-        from its terms, and the arithmetic below from its operands'."""
+        """The fraction with the floor that ``qsum`` has proven from its
+        terms; nothing else sets one."""
         value = cls(num, factors, qshift)
         value._floor = floor
         return value
@@ -839,13 +839,12 @@ class FactoredFraction:
             factors[a] = max(factors.get(a, 0), m)
         qshift = max(self.qshift, other.qshift)
         num = self._over(factors, qshift) + other._over(factors, qshift)
-        return FactoredFraction._with_floor(num, factors, qshift,
-                                            _least_floor([self._floor, other._floor]))
+        return FactoredFraction(num, factors, qshift)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction._with_floor(-self.num, self.factors, self.qshift, self._floor)
+        return FactoredFraction(-self.num, self.factors, self.qshift)
 
     def __sub__(self, other) -> Union["FactoredFraction", RatFunc]:
         return self + (-other)
@@ -861,11 +860,7 @@ class FactoredFraction:
         factors = dict(self.factors)
         for a, m in other.factors.items():
             factors[a] = factors.get(a, 0) + m
-        floor = dict(self._floor)
-        for d, v in other._floor.items():
-            floor[d] = floor.get(d, 0) + v
-        return FactoredFraction._with_floor(self.num * other.num, factors,
-                                            self.qshift + other.qshift, floor)
+        return FactoredFraction(self.num * other.num, factors, self.qshift + other.qshift)
 
     __rmul__ = __mul__
 

@@ -15,10 +15,10 @@ their terms along independent routes:
 * ``theorem_sum``      - direct term-by-term summation,
 * ``_vwp_series``      - single very-well-poised terminating series
                          (the shape shared by the multiseries transform's
-                         left side, the 8phi7, and the Karlsson-Minton
-                         summation),
+                         left side, ``watson_pair``'s 8phi7, and the
+                         Karlsson-Minton summation),
 * ``_multisum_terms``  - the (m-1)-fold sum on the transformed side,
-* ``watson_pair``      - dedicated 8phi7 / 4phi3 loops.
+* ``watson_pair``      - its own loop for the 4phi3 side only.
 
 ``proof_decomposition`` rewrites a theorem sum as prefactor * multisum via
 the multiseries transformation specialised in base q**d, which is the

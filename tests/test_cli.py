@@ -609,3 +609,88 @@ def test_readme_commands_parse():
         except SystemExit:
             pytest.fail(f"README command does not parse: qcongruence {' '.join(argv)}")
         assert args.command == argv[0]
+
+
+@pytest.mark.parametrize("m,code", [("9", 2), ("2", 0)])
+def test_identity_watson_takes_only_the_default_m(m, code, capsys):
+    # watson has no parameter pairs; the default --m stays accepted
+    from qcongruence import cli
+
+    assert cli.main(["identity", "watson", "--m", m, "--trials", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].endswith(
+            "error: --m does not apply to identity watson")
+    else:
+        assert json.loads(captured.out)["status"] == "PASS"
+
+
+def test_verify_oracle_disagreement_exits_2(monkeypatch, capsys):
+    from qcongruence import cli, congruence
+
+    monkeypatch.setattr(congruence, "oracle_check", lambda *_: congruence.CheckStatus.FAIL)
+    assert cli.main(["verify", "thm1", "--d", "5", "--r", "1", "--n", "4", "--oracle"]) == 2
+    captured = capsys.readouterr()
+    rec = json.loads(captured.out)
+    assert (rec["status"], rec["oracle"]) == ("PASS", "FAIL")
+    assert captured.err.splitlines()[-1] == "oracle verdict disagrees with valuation verdict"
+
+
+def test_sweep_oracle_disagreements_exit_2(monkeypatch, capsys):
+    from qcongruence import cli, congruence
+
+    monkeypatch.setattr(congruence, "oracle_check", lambda *_: congruence.CheckStatus.ERROR)
+    assert cli.main([*TINY_SWEEP, "--oracle", "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    records = [json.loads(line) for line in captured.out.splitlines()[1:]]
+    assert records and all(rec["oracle"] == "ERROR" for rec in records)
+    assert captured.err.splitlines()[-1] == f"oracle disagreements: {len(records)}"
+
+
+def test_theorem_sweep_with_an_error_report_exits_2(monkeypatch, capsys):
+    # a sum with a pole at Phi_n: the check is an ERROR and says where
+    from qcongruence import cli, congruence
+    from qcongruence.exactalg import RatFunc, cyclotomic
+
+    def pole(kind, case, oracle, power=None):
+        return congruence.check_congruence(RatFunc(1, cyclotomic(case.n)),
+                                           congruence.q_integer_modulus(case.n, 1))
+
+    monkeypatch.setattr(cli, "_check_case", pole)
+    assert cli.main([*TINY_SWEEP, "--jobs", "1"]) == 2
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert records and all(rec["status"] == "ERROR" for rec in records)
+    assert all(rec["detail"] == f"denominator not invertible at cyclotomic index {rec['case']['n']}"
+               for rec in records)
+
+
+# each named hypothesis or error, with the whole stderr it gives
+H = "hypothesis violated: "
+NAMED_ERRORS = [
+    (("verify", "thm1", "--d", "7", "--r", "2", "--n", "5"), [H + "r must be odd"]),
+    (("verify", "thm1", "--d", "9", "--r", "3", "--n", "6"), [H + "gcd(d, r) = 1 violated"]),
+    (("verify", "thm1", "--d", "5", "--r", "-1", "--n", "1"),
+     [H + "n > 1 violated", H + "n >= d - r violated"]),
+    (("verify", "thm2", "--d", "5", "--r", "1", "--n", "-3"),
+     [H + "n > 1 violated", H + "n >= (d - r)/2 violated"]),
+    (("verify", "lemma3", "--d", "0", "--r", "1", "--n", "0"),
+     [H + "d must be a positive integer", H + "n must be a positive integer"]),
+    (("verify", "lemma3", "--d", "5", "--r", "2", "--n", "4"),
+     [H + "d(d - r - 2) must be even for an integral q-power"]),
+    (("verify", "modsquare", "--d", "0", "--r", "1", "--n", "0", "--k-max", "-1"),
+     [H + "k_max must be non-negative", H + "d must be a positive integer",
+      H + "n must be a positive integer"]),
+    (("identity", "andrews", "--N", "-1", "--trials", "1"),
+     ["error: termination order must be non-negative"]),
+]
+
+
+@pytest.mark.parametrize("args,lines", NAMED_ERRORS, ids=[" ".join(a) for a, _ in NAMED_ERRORS])
+def test_each_error_is_named(args, lines, capsys):
+    from qcongruence import cli
+
+    assert cli.main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == lines
