@@ -13,6 +13,7 @@ or stdout closed before the run finished.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -335,6 +336,8 @@ def cmd_sweep(args) -> int:
 # argument parsing
 
 
+# built once per process; `set_defaults` binds the cmd_* functions then
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcongruence",

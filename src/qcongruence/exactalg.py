@@ -20,9 +20,8 @@ Conventions used everywhere in this package:
   starting at the floor (the least floor over d | m).  ``+``, ``-`` and
   ``*`` with a Poly, an int or another FactoredFraction keep it factored,
   with no general polynomial gcd and no floor; ``==`` and ``to_ratfunc``
-  build the canonical form from the same valuation counts: they divide the
-  numerator once and build the reduced denominator from its cyclotomic
-  factors.
+  build the canonical form from the same valuation counts, by (q**d - 1)
+  steps alone: shifts and subtractions, and exact divisions by prefix sums.
 * A valuation is an int, or ``INFINITE`` (``math.inf``) for the zero
   function: it compares above every int, equals itself and is never an int.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
@@ -370,18 +369,12 @@ def divisors(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> Poly:
-    """n-th cyclotomic polynomial, via q**n - 1 = prod over divisors.
-
-    Roots of unity are never materialised: the polynomial is obtained by
-    exact division of q**n - 1 by the lower-index cyclotomics.
-    """
+    """n-th cyclotomic polynomial, prod (q**d - 1)**k[d] over d | n, by
+    binomial steps (``_binomial_exponents`` of {n: 1}, ``_binomial_steps``);
+    roots of unity are never materialised."""
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    p = Poly((-1,) + (0,) * (n - 1) + (1,))
-    for m in divisors(n):
-        if m < n:
-            p = p.div_exact(cyclotomic(m))
-    return p
+    return Poly(_binomial_steps([1], _binomial_exponents({n: 1})))
 
 
 @lru_cache(maxsize=None)
@@ -697,6 +690,29 @@ def _expand_factors(factors: dict[int, int]) -> list[int]:
     return _unpack(_mul_packed(1, factors, B), B)
 
 
+def _binomial_steps(cs: Sequence[int], powers: dict[int, int]) -> list[int]:
+    """cs * prod (q**d - 1)**powers[d], powers of either sign; raises
+    ExactDivisionError when that is no polynomial.  The positive powers
+    multiply first, a shift and a subtraction each; then each k < 0 takes
+    -k ``_peel``s of the classes cs[c::d], divisions by y - 1, y = q**d,
+    each of which negates the quotient."""
+    cs = list(cs)
+    for d, k in powers.items():
+        for _ in range(k):
+            cs = list(map(operator.sub, [0] * d + cs, cs + [0] * d))
+    for d, k in powers.items():
+        if k < 0:
+            classes = [cs[c::d] for c in range(d)]
+            for _ in range(-k):
+                classes, rem = _peel(classes)
+                if any(rem):
+                    raise ExactDivisionError(f"q**{d} - 1 does not divide")
+            cs = [0] * (len(cs) + d * k)
+            for c, x in enumerate(classes):
+                cs[c::d] = x if k % 2 == 0 else [-y for y in x]
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # Factored fractions
 
@@ -710,6 +726,16 @@ def _phi_exponents(factors: dict[int, int]) -> dict[int, int]:
             for d in divisors(a):
                 out[d] = out.get(d, 0) + mult
     return out
+
+
+def _binomial_exponents(phi: dict[int, int]) -> dict[int, int]:
+    """The k with prod (q**d - 1)**k[d] = prod Phi_c**phi[c], inverting
+    ``_phi_exponents``: phi[c] is the sum of k[a] over the multiples a of c,
+    so k follows from the largest index down, over the divisors of phi's."""
+    k: dict[int, int] = {}
+    for c in sorted({d for c in phi for d in divisors(c)}, reverse=True):
+        k[c] = phi.get(c, 0) - sum(v for a, v in k.items() if a % c == 0)
+    return {d: v for d, v in k.items() if v}
 
 
 def _least_floor(floors: Iterable[dict[int, int]]) -> dict[int, int]:
@@ -747,8 +773,8 @@ class FactoredFraction:
     stay factored: a sum goes over the larger multiplicity of each factor
     and the larger q-shift, a product adds both.  ``to_ratfunc`` reduces
     to the canonical RatFunc by the same counts: it cancels each Phi_c as
-    often as both numerator and denominator hold it.  ``==`` and
-    arithmetic with a RatFunc go through it.
+    often as both numerator and denominator hold it, by binomial steps.
+    ``==`` and arithmetic with a RatFunc go through it.
     """
 
     __slots__ = ("num", "factors", "qshift", "_floor")
@@ -793,20 +819,21 @@ class FactoredFraction:
 
     def to_ratfunc(self) -> RatFunc:
         """The canonical RatFunc.  The denominator holds Phi_c e_c times;
-        v_c is the lesser of e_c and the numerator's count.  So the numerator
-        is divided once, by prod Phi_c**v_c, the reduced denominator is built
-        as prod Phi_c**(e_c - v_c), and then the common power of q goes.
-        That product is monic and coprime to the numerator."""
-        num = self.num
-        if num.is_zero:
+        v_c is the lesser of e_c and the numerator's count (e_c outright when
+        the floor proves that much).  prod Phi_c**v_c = prod (q**d - 1)**k_d,
+        so binomial steps divide the numerator by it and build the reduced
+        denominator, monic and coprime to it; then q's common power goes."""
+        if self.num.is_zero:
             return RATFUNC_ZERO
-        common = den = ONE
+        shared = {}
         for c in {c for a in self.factors for c in divisors(a)}:
             e = self.den_multiplicity(c)
-            v = min(e, _poly_phi_valuation(num, c, self.binomial_floor(c)))
-            common = common * cyclotomic(c) ** v
-            den = den * cyclotomic(c) ** (e - v)
-        num = num.div_exact(common)
+            shared[c] = e if self._floor.get(c, 0) >= e else min(
+                e, _poly_phi_valuation(self.num, c, self.binomial_floor(c)))
+        k = _binomial_exponents(shared)
+        num = Poly(_binomial_steps(self.num.coeffs, {d: -v for d, v in k.items()}))
+        den = Poly(_binomial_steps([1], {d: self.factors.get(d, 0) - k.get(d, 0)
+                                         for d in self.factors.keys() | k.keys()}))
         qstrip = min(num.split_monomial()[0], self.qshift)
         return RatFunc._from_canonical(Poly(num.coeffs[qstrip:]),
                                        den.shifted(self.qshift - qstrip))

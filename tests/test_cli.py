@@ -567,6 +567,26 @@ def test_commands_never_need_a_general_gcd(monkeypatch, args, code):
     assert cli.main(list(args)) == code
 
 
+@pytest.mark.parametrize("kind", ["andrews", "watson"])
+def test_canonical_form_takes_binomial_steps_only(monkeypatch, kind):
+    # to_ratfunc cancels each Phi_c through (q^d - 1) steps, and builds
+    # each Phi_c it counts by them: no product of polynomials and no exact
+    # division by one
+    from qcongruence import cli, exactalg
+    from qcongruence.hypergeom import TheoremCase, Truncation, Variant, theorem_sum
+
+    exactalg.cyclotomic.cache_clear()
+    value = theorem_sum(TheoremCase(5, 1, 9, Variant.THM1, Truncation.FULL))
+
+    def forbidden(*_):
+        raise AssertionError("Poly product or exact division called")
+
+    for name in ("div_exact", "__mul__", "__rmul__"):
+        monkeypatch.setattr(exactalg.Poly, name, forbidden)
+    assert not value.to_ratfunc().is_zero
+    assert cli.main(["identity", kind, "--N", "4", "--trials", "5"]) == 0
+
+
 @pytest.mark.parametrize("args", [
     ("identity", "andrews", "--trials", "50"),
     ("sweep", "--theorem", "thm1", "--d-max", "9", "--n-max", "40", "--jobs", "2"),

@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from qcongruence.exactalg import (
     ExactDivisionError,
+    FactoredFraction,
     INFINITE,
     ONE,
     Poly,
@@ -25,9 +26,12 @@ from qcongruence.exactalg import (
 from qcongruence import exactalg
 from qcongruence.exactalg import (
     _binomial_count,
+    _binomial_exponents,
+    _binomial_steps,
     _div_packed,
     _divide_out,
     _expand_factors,
+    _phi_exponents,
     _poly_phi_valuation,
     _unpack,
 )
@@ -481,6 +485,98 @@ def test_expand_factors_matches_poly_products(factors):
     for a, m in factors.items():
         want = want * binomial(a) ** m
     assert Poly(_expand_factors(factors)) == want
+
+
+# ---------------------------------------------------------------------------
+# canonical form by binomial steps
+
+
+def nonzero(exponents):
+    return {c: v for c, v in exponents.items() if v}
+
+
+@given(st.dictionaries(st.integers(1, 30), st.integers(-4, 4), max_size=6))
+def test_binomial_exponents_invert_phi_exponents(phi):
+    # prod (q^d - 1)^k[d] = prod Phi_c^phi[c], read both ways
+    k = _binomial_exponents(phi)
+    assert nonzero(_phi_exponents(k)) == nonzero(phi)
+    assert _binomial_exponents(_phi_exponents(k)) == k
+
+
+@given(st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=4))
+def test_binomial_steps_build_cyclotomic_products(phi):
+    want = ONE
+    for c, v in phi.items():
+        want = want * Poly(int(x) for x in cyclotomic_mobius_oracle(c)) ** v
+    assert Poly(_binomial_steps([1], _binomial_exponents(phi))) == want
+
+
+@given(nonzero_polys, st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=3),
+       st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=3))
+def test_binomial_steps_invert_a_product_of_binomials(g, down, up):
+    # g (q^d - 1)^k over the binomials in `down`, then g back, also when
+    # the same step multiplies by the binomials in `up`
+    p = g
+    for d, k in down.items():
+        p = p * binomial(d) ** k
+    assert Poly(_binomial_steps(g.coeffs, down)) == p
+    assert Poly(_binomial_steps(p.coeffs, {d: -k for d, k in down.items()})) == g
+    powers = {d: up.get(d, 0) - down.get(d, 0) for d in up.keys() | down.keys()}
+    want = g
+    for d, k in up.items():
+        want = want * binomial(d) ** k
+    assert Poly(_binomial_steps(p.coeffs, powers)) == want
+
+
+@given(small_polys, st.integers(1, 12), st.integers(1, 3), st.data())
+def test_binomial_steps_reject_a_non_multiple(h, d, k, data):
+    # p = h (q^d - 1)^k + r, 0 != deg r < d: q^d - 1 leaves the remainder r
+    r = data.draw(small_polys.filter(lambda r: not r.is_zero and r.degree < d))
+    p = h * binomial(d) ** k + r
+    with pytest.raises(ExactDivisionError):
+        _binomial_steps(p.coeffs, {d: -k})
+
+
+@st.composite
+def factored_fractions(draw):
+    """num / (q^s prod (q^a - 1)^m) with num = g prod Phi_c^j[c]; half the
+    time it carries j as its floor, which num provably holds."""
+    g = draw(nonzero_polys)
+    j = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=3))
+    factors = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 3),
+                                   min_size=1, max_size=3))
+    num = g
+    for c, v in j.items():
+        num = num * cyclotomic(c) ** v
+    floor = nonzero(j) if draw(st.booleans()) else {}
+    return FactoredFraction._with_floor(num, factors, draw(st.integers(0, 3)), floor)
+
+
+def general_reduction(value):
+    return RatFunc(value.num, Poly(_expand_factors(value.factors)).shifted(value.qshift))
+
+
+@given(factored_fractions())
+def test_canonical_form_matches_the_general_reduction(value):
+    got, want = value.to_ratfunc(), general_reduction(value)
+    assert (got.num, got.den) == (want.num, want.den)
+
+
+@given(factored_fractions(), st.data())
+def test_canonical_form_off_by_one_is_caught(value, data):
+    # a shared multiplicity v_c one too high divides the numerator or the
+    # denominator by a Phi_c it does not hold, which raises; one too low
+    # leaves Phi_c in both, where the general reduction has none
+    c = data.draw(st.sampled_from(sorted({c for a in value.factors for c in divisors(a)})))
+    real, want = exactalg._binomial_exponents, general_reduction(value)
+    with mock.patch.object(exactalg, "_binomial_exponents",
+                           lambda phi: real({**phi, c: phi[c] + 1})):
+        with pytest.raises(ExactDivisionError):
+            value.to_ratfunc()
+    with mock.patch.object(exactalg, "_binomial_exponents",
+                           lambda phi: real({**phi, c: phi[c] - 1})):
+        got = value.to_ratfunc()
+    assert (got.num, got.den) == (want.num * cyclotomic(c), want.den * cyclotomic(c))
 
 
 def test_infinite_valuation_ordering():

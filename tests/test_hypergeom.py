@@ -1,11 +1,15 @@
 """Truncated sums, hypergeometric identities, and the proof decomposition."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from qcongruence.exactalg import Poly, RatFunc, phi_valuation, q_integer
+from qcongruence.exactalg import (
+    Poly, RatFunc, _expand_factors, divisors, phi_valuation, q_integer,
+)
 from qcongruence.qobjects import QPochSpec, q_poch_product
 from qcongruence.hypergeom import (
     AndrewsParams,
@@ -254,6 +258,46 @@ def test_watson_consistent_with_andrews_m2():
         lhs, rhs = watson_pair(a, b, c, d, e, N)
         assert andrews_lhs(p) == lhs
         assert andrews_rhs(p) == rhs
+
+
+IDENTITY_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected",
+                             "identity_fuzz.jsonl")
+
+
+def stored_identity_sides():
+    """Both sides of one stored identity trial per (kind, m) that compares
+    two sums: the first with N <= 4 whose sides are neither 0 nor free of
+    (q^a - 1) factors.  The gasper-km and multi-km trials are zero tests
+    of one sum, which have no sides."""
+    sides = {}
+    with open(IDENTITY_POOL) as fh:
+        for entry in map(json.loads, fh):
+            kind = entry["argv"][1]
+            if kind not in ("andrews", "watson") or entry["N"] > 4 or entry["spec"] in sides:
+                continue
+            params = json.loads(entry["stdout"])["params"]
+            if kind == "andrews":
+                p = AndrewsParams(params["a"], tuple(map(tuple, params["pairs"])), params["N"])
+                pair = andrews_lhs(p), andrews_rhs(p)
+            else:
+                pair = watson_pair(*(params[k] for k in ("a", "b", "c", "d", "e", "N")))
+            if all(side.factors and side for side in pair):
+                sides[entry["spec"]] = pair
+    assert sorted(sides) == ["andrews-m2", "andrews-m3", "andrews-m4", "watson-m2"]
+    return [side for pair in sides.values() for side in pair]
+
+
+def test_stored_identity_sides_match_the_general_reduction():
+    # the floors here are the ones qsum proves from real terms, and some of
+    # them prove a whole shared multiplicity, so that count is skipped
+    shortcuts = 0
+    for value in stored_identity_sides():
+        got = value.to_ratfunc()
+        want = RatFunc(value.num, Poly(_expand_factors(value.factors)).shifted(value.qshift))
+        assert (got.num, got.den) == (want.num, want.den)
+        shared = {c for a in value.factors for c in divisors(a)}
+        shortcuts += sum(value._floor.get(c, 0) >= value.den_multiplicity(c) for c in shared)
+    assert shortcuts > 0
 
 
 # ---------------------------------------------------------------------------
