@@ -9,16 +9,24 @@ Very-well-poised parameter pairs (q*sqrt(a), -q*sqrt(a)) / (sqrt(a),
 -sqrt(a)) are never split into square roots: the paired quotient collapses
 to (1 - a*q**(2k)) / (1 - a), which keeps all exponents integral.
 
-The evaluators share one summation kernel (``qobjects.qsum``) but build
-their terms along independent routes:
+The evaluators share one summation kernel (``qobjects.qsum``) and build
+their terms from the term ratio (Gasper & Rahman, *Basic Hypergeometric
+Series*, 1.2): term k+1 is a copy of term k's carried q-Pochhammer part
+times one binomial (1 - q**(e + base*k))**(+-1) per parameter and its
+q-power step (``_ratio_walk``), so a term costs O(P) binomial updates for
+P Pochhammer symbols, never a rebuild from k = 0.  The routes are
+independent:
 
-* ``theorem_sum``      - direct term-by-term summation,
+* ``truncated_terms``  - the theorem sums, with the [2dk + r] factor put on
+                         each copy,
 * ``_vwp_series``      - single very-well-poised terminating series
                          (the shape shared by the multiseries transform's
                          left side, ``watson_pair``'s 8phi7, and the
-                         Karlsson-Minton summation),
-* ``_multisum_terms``  - the (m-1)-fold sum on the transformed side,
-* ``watson_pair``      - its own loop for the 4phi3 side only.
+                         Karlsson-Minton summation), with the well-poised
+                         factor put on each copy,
+* ``_multisum_terms``  - the (m-1)-fold sum on the transformed side, as a
+                         depth-first walk over the compositions,
+* ``watson_pair``      - its own walk for the 4phi3 side only.
 
 ``proof_decomposition`` rewrites a theorem sum as prefactor * multisum via
 the multiseries transformation specialised in base q**d, which is the
@@ -151,6 +159,31 @@ class TheoremCase:
 
 
 # ---------------------------------------------------------------------------
+# terms by their term ratio
+
+
+def _ratio_walk(start: QProduct, ratio: Sequence[tuple[int, int]], base: int,
+                qpow: int, steps: int) -> Iterator[QProduct]:
+    """Terms 0..steps of the series whose term 0 is ``start`` (which the
+    walk takes over) and whose term k+1 is term k times q**qpow and
+    (1 - q**(e + base*k))**power for each (e, power) of ``ratio``.
+
+    Each term is yielded as a fresh copy that the caller may multiply
+    further.  A term that is zero is still yielded and still stepped from,
+    so every binomial of every term is multiplied in, and a vanishing
+    denominator raises ``VanishingDenominator`` exactly where building the
+    terms one by one would.
+    """
+    t = start
+    for k in range(steps + 1):
+        if k:
+            for e, power in ratio:
+                t.mul_one_minus_q(e + base * (k - 1), power)
+            t.mul_qpow(qpow)
+        yield t.copy()
+
+
+# ---------------------------------------------------------------------------
 # the truncated sums
 
 
@@ -184,7 +217,9 @@ def truncated_terms(d: int, r: int, upper: int) -> list[QProduct]:
     _check_sum_shape(d, r)
     if upper < 0:
         raise ValueError("upper bound must be non-negative")
-    return [_term_product(d, r, k) for k in range(upper + 1)]
+    walk = _ratio_walk(QProduct(), [(r, d), (d, -d)], d, d * (d - r - 2) // 2, upper)
+    return [t.mul_one_minus_q(2 * d * k + r, 1).mul_one_minus_q(1, -1)
+            for k, t in enumerate(walk)]
 
 
 def truncated_sum(d: int, r: int, upper: int) -> FactoredFraction:
@@ -206,21 +241,6 @@ def theorem_sum(case: TheoremCase) -> FactoredFraction:
 # terminating very-well-poised series (single sum)
 
 
-def _vwp_term(alpha: int, bc: Sequence[int], N: int, w: int, base: int, k: int) -> QProduct:
-    t = QProduct()
-    t.mul_one_minus_q(alpha + 2 * base * k, 1)
-    t.mul_one_minus_q(alpha, -1)
-    t.mul_pochhammer(QPochSpec(alpha, base, k))
-    t.mul_pochhammer(QPochSpec(base, base, k), -1)
-    for e in bc:
-        t.mul_pochhammer(QPochSpec(e, base, k))
-        t.mul_pochhammer(QPochSpec(alpha + base - e, base, k), -1)
-    t.mul_pochhammer(QPochSpec(-base * N, base, k))
-    t.mul_pochhammer(QPochSpec(alpha + base * (N + 1), base, k), -1)
-    t.mul_qpow(w * k)
-    return t
-
-
 def _vwp_series(alpha: int, bc: Sequence[int], N: int, base: int = 1) -> FactoredFraction:
     """Terminating very-well-poised series with paired parameters.
 
@@ -235,7 +255,13 @@ def _vwp_series(alpha: int, bc: Sequence[int], N: int, base: int = 1) -> Factore
         raise ValueError("termination order must be non-negative")
     m = len(bc) // 2
     w = m * alpha + base * (m + N) - sum(bc)
-    return qsum(_vwp_term(alpha, bc, N, w, base, k) for k in range(N + 1))
+    ratio = [(alpha, 1), (base, -1), (-base * N, 1), (alpha + base * (N + 1), -1)]
+    for e in bc:
+        ratio += [(e, 1), (alpha + base - e, -1)]
+    # the well-poised factor (1 - a*q**(2*base*k)) / (1 - a) goes on each
+    # copy: carried, a factor that vanishes at one k would zero the rest
+    return qsum(t.mul_one_minus_q(alpha + 2 * base * k, 1).mul_one_minus_q(alpha, -1)
+                for k, t in enumerate(_ratio_walk(QProduct(), ratio, base, w, N)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,57 +300,56 @@ def _prefactor_product(alpha: int, pairs: Sequence[tuple[int, int]], N: int, bas
     return t
 
 
-def _compositions_at_most(parts: int, total: int) -> Iterator[tuple[int, ...]]:
-    if parts == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in _compositions_at_most(parts - 1, total - head):
-            yield (head,) + rest
-
-
 def _multisum_terms(
-    alpha: int, pairs: Sequence[tuple[int, int]], N: int, base: int
+    alpha: int, pairs: Sequence[tuple[int, int]], N: int, base: int,
+    start: QProduct | None = None,
 ) -> Iterator[QProduct]:
-    """Terms of the (m-1)-fold sum on the transformed side.
+    """Terms of the (m-1)-fold sum on the transformed side, each times
+    ``start`` (the walk takes it over; empty by default).
 
-    Enumeration stops at j_1 + ... + j_{m-1} = N: beyond that the
+    Level i sums j_i, and its factors of length P_i = j_1 + ... + j_i run
+    in base q**base; the last level's P_i is J, which also carries the
+    (q**(-N); q)_J factor.  The walk is depth-first in the order of
+    (j_1, ..., j_{m-1}), and level i carries the term of (j_1, ..., j_i,
+    0, ..., 0): one more j_i raises every P_l with l >= i by one, so the
+    step multiplies j_i's own binomials and one binomial per factor of
+    every level from i on.  Enumeration stops at J = N: beyond that the
     (q**(-N); q)_J factor vanishes identically.
     """
     m = len(pairs)
     bm, cm = pairs[-1]
-    for js in _compositions_at_most(m - 1, N):
-        t = QProduct()
-        partial = 0
-        for i, j in enumerate(js):
-            b, c = pairs[i]
-            t.mul_pochhammer(QPochSpec(alpha + base - b - c, base, j))
-            t.mul_pochhammer(QPochSpec(base, base, j), -1)
-            partial += j
-            bn, cn = pairs[i + 1]
-            t.mul_pochhammer(QPochSpec(bn, base, partial))
-            t.mul_pochhammer(QPochSpec(cn, base, partial))
-            t.mul_pochhammer(QPochSpec(alpha + base - b, base, partial), -1)
-            t.mul_pochhammer(QPochSpec(alpha + base - c, base, partial), -1)
-            if i < m - 2:
-                t.mul_qpow((alpha + base - bn - cn) * partial)
-        J = partial
-        t.mul_pochhammer(QPochSpec(-base * N, base, J))
-        t.mul_pochhammer(QPochSpec(bm + cm - base * N - alpha, base, J), -1)
-        t.mul_qpow(base * J)
-        yield t
+    # per level: the (exponent, power) of each factor of length P_i, and
+    # the q-power that P_i adds per unit
+    levels = []
+    for i in range(m - 1):
+        (b, c), (bn, cn) = pairs[i], pairs[i + 1]
+        levels.append(([(bn, 1), (cn, 1), (alpha + base - b, -1), (alpha + base - c, -1)],
+                       alpha + base - bn - cn))
+    last = levels[-1][0] + [(-base * N, 1), (bm + cm - base * N - alpha, -1)]
+    levels[-1] = (last, base)
+
+    def walk(i: int, t: QProduct, P: int) -> Iterator[QProduct]:
+        b, c = pairs[i]
+        ratio = [(alpha + base - b - c, 1), (base, -1)]
+        ratio += [(e + base * P, power) for factors, _ in levels[i:] for e, power in factors]
+        terms = _ratio_walk(t, ratio, base, sum(w for _, w in levels[i:]), N - P)
+        if i == m - 2:
+            yield from terms
+        else:
+            for j, u in enumerate(terms):
+                yield from walk(i + 1, u, P + j)
+
+    return walk(0, QProduct() if start is None else start, 0)
 
 
 def andrews_rhs(p: AndrewsParams) -> FactoredFraction:
     """Right side: prefactor times the (m-1)-fold sum."""
     pre = _prefactor_product(p.a, p.pairs, p.N, 1)
-    return qsum(
-        term.mul(pre) for term in _multisum_terms(p.a, p.pairs, p.N, 1)
-    )
+    return qsum(_multisum_terms(p.a, p.pairs, p.N, 1, pre))
 
 
 # ---------------------------------------------------------------------------
-# the classical m = 2 transformation, via its own summation loops
+# the classical m = 2 transformation, via its own walk
 
 
 def watson_pair(a: int, b: int, c: int, d: int, e: int,
@@ -333,20 +358,9 @@ def watson_pair(a: int, b: int, c: int, d: int, e: int,
     independently; the two values must be equal."""
     lhs = _vwp_series(a, [b, c, d, e], N)
     pre = _prefactor_product(a, [(b, c), (d, e)], N, 1)
-    terms = []
-    for j in range(N + 1):
-        t = QProduct()
-        t.mul_pochhammer(QPochSpec(a + 1 - b - c, 1, j))
-        t.mul_pochhammer(QPochSpec(d, 1, j))
-        t.mul_pochhammer(QPochSpec(e, 1, j))
-        t.mul_pochhammer(QPochSpec(-N, 1, j))
-        t.mul_pochhammer(QPochSpec(1, 1, j), -1)
-        t.mul_pochhammer(QPochSpec(a + 1 - b, 1, j), -1)
-        t.mul_pochhammer(QPochSpec(a + 1 - c, 1, j), -1)
-        t.mul_pochhammer(QPochSpec(d + e - N - a, 1, j), -1)
-        t.mul_qpow(j)
-        t.mul(pre)
-        terms.append(t)
+    ratio = [(a + 1 - b - c, 1), (d, 1), (e, 1), (-N, 1),
+             (1, -1), (a + 1 - b, -1), (a + 1 - c, -1), (d + e - N - a, -1)]
+    terms = _ratio_walk(pre, ratio, 1, 1, N)
     rhs = qsum(terms)
     return lhs, rhs
 

@@ -259,6 +259,113 @@ def test_verify_record_bytes(args, code, line):
     assert proc.stdout == line + "\n"
 
 
+# identity records pinned byte for byte, one row per (kind, m) the benchmark
+# draws: a draw that starts or stops raising VanishingDenominator shifts
+# "resamples" and every later draw of the run, which comparing a run with
+# itself cannot show
+PINNED_IDENTITY = [
+    (("andrews", 2), [
+        '{"command": "identity andrews", "trial": 0, "params": {"a": 11, "pairs": [[8, '
+         '4], [-12, 2]], "N": 3}, "status": "PASS", "resamples": 1, "elapsed_ms": null, '
+         '"seed": 5}',
+        '{"command": "identity andrews", "trial": 1, "params": {"a": 12, '
+         '"pairs": [[-5, 8], [-11, -7]], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity andrews", "trial": 2, "params": {"a": -9, '
+         '"pairs": [[-1, 3], [-5, 0]], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+    (("andrews", 3), [
+        '{"command": "identity andrews", "trial": 0, "params": {"a": 4, '
+         '"pairs": [[-12, 2], [12, -5], [8, -11]], "N": 3}, "status": "PASS", '
+         '"resamples": 1, "elapsed_ms": null, "seed": 5}',
+        '{"command": "identity andrews", "trial": 1, "params": {"a": -8, "pairs": [[7, '
+         '7], [2, -8], [-8, -12]], "N": 3}, "status": "PASS", "resamples": 3, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity andrews", "trial": 2, "params": {"a": -2, '
+         '"pairs": [[-6, 5], [9, 8], [-6, -7]], "N": 3}, "status": "PASS", '
+         '"resamples": 1, "elapsed_ms": null, "seed": 5}',
+    ]),
+    (("andrews", 4), [
+        '{"command": "identity andrews", "trial": 0, "params": {"a": 1, "pairs": [[-4, '
+         '-7], [12, 0], [-7, 12], [-10, -8]], "N": 3}, "status": "PASS", '
+         '"resamples": 3, "elapsed_ms": null, "seed": 5}',
+        '{"command": "identity andrews", "trial": 1, "params": {"a": 7, "pairs": [[7, '
+         '2], [-8, -8], [-12, -12], [-6, 12]], "N": 3}, "status": "PASS", '
+         '"resamples": 0, "elapsed_ms": null, "seed": 5}',
+        '{"command": "identity andrews", "trial": 2, "params": {"a": 10, '
+         '"pairs": [[-2, -7], [3, 3], [10, -7], [-11, -4]], "N": 3}, "status": "PASS", '
+         '"resamples": 4, "elapsed_ms": null, "seed": 5}',
+    ]),
+    (("watson", 2), [
+        '{"command": "identity watson", "trial": 0, "params": {"a": 11, "b": 8, '
+         '"c": 4, "d": -12, "e": 2, "N": 3}, "status": "PASS", "resamples": 1, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity watson", "trial": 1, "params": {"a": 12, "b": -5, '
+         '"c": 8, "d": -11, "e": -7, "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity watson", "trial": 2, "params": {"a": -9, "b": -1, '
+         '"c": 3, "d": -5, "e": 0, "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+    (("gasper-km", 2), [
+        '{"command": "identity gasper-km", "trial": 0, "params": {"a": 11, "e": [8, '
+         '4], "nondeg": [2, 0], "N": 3}, "status": "PASS", "resamples": 1, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity gasper-km", "trial": 1, "params": {"a": 12, "e": [-5, '
+         '8], "nondeg": [0, 1], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity gasper-km", "trial": 2, "params": {"a": 11, "e": [-6, '
+         '1], "nondeg": [0, 0], "N": 3}, "status": "PASS", "resamples": 2, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+    (("gasper-km", 3), [
+        '{"command": "identity gasper-km", "trial": 0, "params": {"a": 8, "e": [4, '
+         '-12, 2], "nondeg": [2, 0, 0], "N": 3}, "status": "PASS", "resamples": 1, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity gasper-km", "trial": 1, "params": {"a": -8, "e": [7, 7, '
+         '2], "nondeg": [1, 0, 0], "N": 3}, "status": "PASS", "resamples": 3, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity gasper-km", "trial": 2, "params": {"a": -12, "e": [-6, '
+         '12, -6], "nondeg": [0, 0, 0], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+    (("multi-km", 2), [
+        '{"command": "identity multi-km", "trial": 0, "params": {"a": 11, "e": [8, 4], '
+         '"nondeg": [2, 0], "N": 3}, "status": "PASS", "resamples": 1, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity multi-km", "trial": 1, "params": {"a": 12, "e": [-5, '
+         '8], "nondeg": [0, 1], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity multi-km", "trial": 2, "params": {"a": 11, "e": [-6, '
+         '1], "nondeg": [0, 0], "N": 3}, "status": "PASS", "resamples": 2, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+    (("multi-km", 3), [
+        '{"command": "identity multi-km", "trial": 0, "params": {"a": -8, "e": [7, 7, '
+         '2], "nondeg": [1, 0, 0], "N": 3}, "status": "PASS", "resamples": 5, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity multi-km", "trial": 1, "params": {"a": -2, "e": [-6, 5, '
+         '9], "nondeg": [0, 0, 1], "N": 3}, "status": "PASS", "resamples": 1, '
+         '"elapsed_ms": null, "seed": 5}',
+        '{"command": "identity multi-km", "trial": 2, "params": {"a": -6, "e": [-7, '
+         '10, -6], "nondeg": [2, 0, 0], "N": 3}, "status": "PASS", "resamples": 0, '
+         '"elapsed_ms": null, "seed": 5}',
+    ]),
+]
+
+
+@pytest.mark.parametrize("spec,lines", PINNED_IDENTITY,
+                         ids=[f"{kind}-m{m}" for (kind, m), _ in PINNED_IDENTITY])
+def test_identity_record_bytes(spec, lines, capsys):
+    from qcongruence import cli
+
+    kind, m = spec
+    argv = ["identity", kind, "--m", str(m), "--N", "3", "--trials", "3", "--seed", "5"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+
 def test_identity_watson_evaluates_each_trial_once(monkeypatch, capsys):
     from qcongruence import cli
 
