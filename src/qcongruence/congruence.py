@@ -371,23 +371,6 @@ def _fp_root(m: int) -> tuple[int, int]:
         g += 1
 
 
-def _series_mul(f: list[int], g: list[int], p: int) -> list[int]:
-    return [sum(f[i] * g[n - i] for i in range(n + 1)) % p for n in range(len(f))]
-
-
-def _series_pow(f: list[int], alpha: int, p: int) -> list[int]:
-    """f**alpha to the precision of f, for f(0) != 0 and any integer alpha,
-    by Miller's recurrence n f0 g_n = sum_k ((alpha + 1) k - n) f_k g_(n-k)."""
-    if alpha == 1:
-        return f
-    inv_f0 = pow(f[0], -1, p)
-    g = [pow(f[0], alpha, p)]
-    for n in range(1, len(f)):
-        acc = sum(((alpha + 1) * k - n) * f[k] * g[n - k] for k in range(1, n + 1))
-        g.append(acc % p * inv_f0 % p * pow(n, -1, p) % p)
-    return g
-
-
 def _binomial_series(a: int, m: int, zeta: int, p: int, prec: int) -> list[int]:
     """(q**a - 1) at q = zeta + eps, mod eps**prec, divided by eps when m | a
     (then it vanishes once at eps = 0); a = 0 stands for q itself."""
@@ -410,40 +393,75 @@ def _zeta_order(factors: dict[int, int], m: int) -> int:
     return sum(e for a, e in factors.items() if a % m == 0)
 
 
-def _walk_terms(terms: list[QProduct], m: int, need: int, zeta: int,
-                p: int) -> tuple[int, list[int]]:
-    """(low, s): the sum of the terms at q = zeta + eps is eps**low * s, mod
-    eps**need.
+def _series_log(g: list[int], inv: list[int], p: int) -> list[int]:
+    """log g to the precision of g, for g(0) = 1, from n g_n =
+    sum_(k=1..n) k l_k g_(n-k); ``inv[n]`` is 1/n mod p."""
+    log = [0]
+    for n in range(1, len(g)):
+        acc = n * g[n] - sum(k * log[k] * g[n - k] for k in range(1, n))
+        log.append(acc % p * inv[n] % p)
+    return log
+
+
+def _series_exp(log: list[int], inv: list[int], p: int) -> list[int]:
+    """exp log to the precision of log, for log(0) = 0, by the same
+    recurrence read the other way."""
+    g = [1]
+    for n in range(1, len(log)):
+        g.append(sum(k * log[k] * g[n - k] for k in range(1, n + 1)) % p * inv[n] % p)
+    return g
+
+
+def _term_changes(terms: Sequence[QProduct]) -> list[tuple[int, dict[int, int], list]]:
+    """(sign, factors, changes) for each live term: ``changes`` lists the
+    (a, delta) that take the previous live term's exponents to this one's,
+    a = 0 standing for the power of q."""
+    steps, have = [], {}
+    for t in terms:
+        if t.is_zero:
+            continue
+        want = {**t.factors, 0: t.qexp}
+        steps.append((t.sign, t.factors, [(a, want.get(a, 0) - have.get(a, 0))
+                                          for a in want.keys() | have.keys()
+                                          if want.get(a, 0) != have.get(a, 0)]))
+        have = want
+    return steps
+
+
+def _walk_terms(steps: list[tuple[int, dict[int, int], list]], m: int, need: int,
+                zeta: int, p: int) -> tuple[int, list[int]]:
+    """(low, s): the sum of the terms that ``_term_changes`` gave ``steps``,
+    at q = zeta + eps, is eps**low * s, mod eps**need.
 
     A term with factor map e is eps**v times a unit, v the sum of e[a] over
-    the a that m divides, so low is exact.  The walk carries the unit from
-    term to term, multiplying in only the factors whose exponent changed.
+    the a that m divides, so low is exact.  Each factor f that occurs is
+    f0 * exp(log(f / f0)) with f0 its value at eps = 0, so the walk carries
+    the unit as a scalar u and a log series L: a change (a, delta)
+    multiplies u by f0**delta and adds delta * log(f / f0) to L, and the
+    term's unit is u * exp(L).  The precision is far below p, so the 1/n of
+    log and exp exist in F_p and all of it is exact.
     """
-    live = [t for t in terms if not t.is_zero]
-    orders = [_zeta_order(t.factors, m) for t in live]
+    orders = [_zeta_order(factors, m) for _, factors, _ in steps]
     low = min(orders, default=need)
     prec = need - low
     if prec <= 0:
         return low, []
-    cache: dict[int, list[int]] = {}
-
-    def factor(a: int) -> list[int]:
-        if a not in cache:
-            cache[a] = _binomial_series(a, m, zeta, p, prec)
-        return cache[a]
-
+    inv = [0] + [pow(n, -1, p) for n in range(1, prec)]
+    logs = {}                               # a: (f0, 1 / f0, log(f / f0))
+    for a in {a for *_, changes in steps for a, _ in changes}:
+        f = _binomial_series(a, m, zeta, p, prec)
+        inv_f0 = pow(f[0], -1, p)
+        logs[a] = f[0], inv_f0, _series_log([c * inv_f0 % p for c in f], inv, p)
     total = [0] * prec
-    unit = [1] + [0] * (prec - 1)
-    have: dict[int, int] = {}               # the exponents in unit; 0 is q
-    for t, v in zip(live, orders):
-        want = {**t.factors, 0: t.qexp}
-        for a in want.keys() | have.keys():
-            delta = want.get(a, 0) - have.get(a, 0)
-            if delta:
-                unit = _series_mul(unit, _series_pow(factor(a), delta, p), p)
-        have = want
+    u, log = 1, [0] * prec
+    for (sign, _, changes), v in zip(steps, orders):
+        for a, delta in changes:
+            f0, inv_f0, log_a = logs[a]
+            u = u * pow(f0 if delta > 0 else inv_f0, abs(delta), p) % p
+            log = [(x + delta * y) % p for x, y in zip(log, log_a)]
+        unit = [u * c % p for c in _series_exp(log, inv, p)] if prec > 1 else [u]
         for j in range(prec - (v - low)):
-            total[v - low + j] += t.sign * unit[j]
+            total[v - low + j] += sign * unit[j]
     return low, total
 
 
@@ -480,9 +498,10 @@ def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc],
     For each required index m, q = zeta + eps with zeta of exact order m in
     F_p (``_fp_root``): Phi_m has the simple root zeta there, and every
     (q**a - 1) vanishes at zeta exactly when m | a.  A list of ``QProduct``
-    terms is walked term by term (``_walk_terms``); a value has its
-    numerator, and a RatFunc its denominator, expanded at zeta by Taylor
-    shift (``_value_series``).  The first non-zero coefficient of the
+    terms is diffed once (``_term_changes``) and walked at each index, each
+    term's unit carried as a value and a log series (``_walk_terms``); a
+    value has its numerator, and a RatFunc its denominator, expanded at
+    zeta by Taylor shift (``_value_series``).  The first non-zero coefficient of the
     series gives the order; a negative order is a pole (ERROR, which wins),
     one below the requirement a FAIL.
 
@@ -496,7 +515,7 @@ def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc],
     if isinstance(f, (FactoredFraction, RatFunc)):
         series_at = _value_series
     else:
-        f, series_at = list(f), _walk_terms
+        f, series_at = _term_changes(f), _walk_terms
     status = CheckStatus.PASS
     for m, need in sorted(mod.parts.items()):
         p, zeta = _fp_root(m)

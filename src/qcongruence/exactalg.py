@@ -25,13 +25,13 @@ Conventions used everywhere in this package:
 * A valuation is an int, or ``INFINITE`` (``math.inf``) for the zero
   function: it compares above every int, equals itself and is never an int.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
-  for a slot width B of whole bytes (``_mul_packed``, ``_div_packed``,
-  ``_unpack``).  Evaluation at 2**B is a ring homomorphism, so products by
-  q**a - 1 (a shift and a subtraction), sums and exact quotients by q**a - 1
-  (shifts and additions) of packed ints are the packed results, however
-  large the coefficients grow on the way.  Only a polynomial that is
-  unpacked needs every |coefficient| < 2**(B - 1); its caller picks B from
-  the 1-norm bound ||prod (q**a - 1)**e[a]||_1 <= 2**sum(e.values()).
+  for a slot width B of whole bytes (``_mul_packed``, ``_unpack``).
+  Evaluation at 2**B is a ring homomorphism, so products by q**a - 1 (a
+  shift and a subtraction) and sums of packed ints are the packed results,
+  however large the coefficients grow on the way; the kernel only ever
+  multiplies.  Only a polynomial that is unpacked needs every
+  |coefficient| < 2**(B - 1); its caller picks B from the 1-norm bound
+  ||prod (q**a - 1)**e[a]||_1 <= 2**sum(e.values()).
 * Values are immutable after construction and may be shared freely between
   threads.  The only shared state is the memo table behind ``cyclotomic``
   and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
@@ -644,24 +644,6 @@ def _mul_packed(x: int, factors: dict[int, int], B: int) -> int:
         for _ in range(m):
             x = (x << k) - x
     return x
-
-
-def _div_packed(x: int, k: int) -> int:
-    """The exact quotient x / (2**k - 1), k >= 1.
-
-    Multiplying by (2**k + 1)(2**2k + 1)...(2**(T/2) + 1) turns x = y (2**k - 1)
-    into z = y (2**T - 1) = y 2**T - y, so with |y| < 2**T the quotient is
-    z / 2**T rounded away from zero: shifts and additions only.  Multiplying
-    back checks it; a remainder raises ExactDivisionError.
-    """
-    need, t, z = x.bit_length() - k + 1, k, x
-    while t < need:
-        z += z << t
-        t <<= 1
-    y = z >> t if x < 0 else -(-z >> t)
-    if (y << k) - y != x:
-        raise ExactDivisionError("division by 2**k - 1 left a remainder")
-    return y
 
 
 def _unpack(x: int, B: int) -> list[int]:

@@ -10,8 +10,8 @@ structure explicit: folding each factor through
 
 leaves sign * q**qexp * prod (q**a - 1)**mult with every a >= 1.  Sums of
 such terms are placed over a common factored denominator, nested from the
-last term so that each term's numerator comes from its neighbour's by the
-few binomials that differ, and returned unreduced, as a
+last term, each term's numerator a copy of a carried product that only
+gains binomials, times the few it lacks, and returned unreduced, as a
 ``FactoredFraction``: cyclotomic valuations are read off the expanded
 numerator and the factor map, so the theorem checks never reduce their
 large numerators.  The canonical form, when a caller asks for it, comes
@@ -20,9 +20,9 @@ needed.
 
 ``qsum`` holds every polynomial of a sum packed into one int, its value at
 q = 2**B (Kronecker substitution): multiplying by q**a - 1 is one shift and
-one subtraction, and only the finished numerator is cut back into
-coefficients.  B is derived from the terms so that no numerator
-coefficient reaches 2**(B - 1); nothing sets it.
+one subtraction, nothing is ever divided, and only the finished numerator
+is cut back into coefficients.  B is derived from the terms so that no
+numerator coefficient reaches 2**(B - 1); nothing sets it.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .exactalg import (
     FactoredFraction,
     Poly,
     RatFunc,
-    _div_packed,
     _least_floor,
     _mul_packed,
     _phi_exponents,
@@ -181,26 +180,27 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
 
     All terms are placed over the least common factored denominator, so
     term k contributes sign * q**shift * P(e_k), P(e) = prod (q**a - 1)**e[a].
-    The sum is nested from the last term.  With C the elementwise minimum
-    of e_i over the tail i >= k, U holds the tail's sum divided by P(C);
+    The sum is nested from the last term.  With C_k the elementwise minimum
+    of e_i over the tail i >= k, U holds the tail's sum divided by P(C_k);
     a step to k - 1 multiplies U by the binomials that leave C and adds
-    P(e_(k-1) - C).  That cofactor is carried over from its neighbour by
-    multiplying in and exactly dividing out the binomials that differ, or
-    expanded afresh when that takes fewer binomial steps, so a
-    hypergeometric series costs about one binomial per factor of its term
-    ratio.  The result keeps the common denominator as its factor map, and
-    as its floor the least Phi_d multiplicity of the P(e_k), for each d;
-    nothing is reduced.
+    P(w_(k-1)), w_k = e_k - C_k.  The cofactor is carried as P(b_k), b_k the
+    elementwise minimum of w_i over the prefix i <= k (a factor missing
+    from some w_i counts as 0).  As b_(k+1) <= b_k <= w_k, the carried
+    P(b_k) only gains binomials on the way to the first term, and term k is
+    P(b_k) * P(w_k - b_k): nothing is divided out, and a hypergeometric
+    series costs about one binomial per factor of its term ratio.  The
+    result keeps the common denominator as its factor map, and as its floor
+    the least Phi_d multiplicity of the P(e_k), for each d; nothing is
+    reduced.
 
     Every polynomial on the way is one int, its value at q = 2**B (see
-    ``exactalg._unpack``): a binomial step is a shift and a subtraction, an
-    exact division by q**a - 1 is one by 2**(a*B) - 1, a term is added at
-    its shift, and only the numerator is unpacked, once.  The 1-norm of
-    P(e) is at most 2**|e|, |e| = sum(e.values()), so with E the largest
-    |e_k| and n terms every coefficient of the numerator is below
-    n * 2**E <= 2**(B - 2) for B = E + n.bit_length() + 2 (rounded up to
-    whole bytes).  Evaluation at 2**B is a ring homomorphism and nothing
-    before the numerator is unpacked, so U and the cofactor need no bound.
+    ``exactalg._unpack``): a binomial step is a shift and a subtraction, a
+    term is added at its shift, and only the numerator is unpacked, once.
+    The 1-norm of P(e) is at most 2**|e|, |e| = sum(e.values()), so with E
+    the largest |e_k| and n terms every coefficient of the numerator is
+    below n * 2**E <= 2**(B - 2) for B = E + n.bit_length() + 2 (rounded up
+    to whole bytes).  Evaluation at 2**B is a ring homomorphism and nothing
+    before the numerator is unpacked, so U and P(b_k) need no bound.
     """
     terms = [t for t in products if not t.is_zero]
 
@@ -223,31 +223,25 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     B = _slot_bits(max((sum(e.values()) for *_, e in rows), default=0)
                    + len(rows).bit_length())
 
-    acc = 0                               # U
-    common: dict[int, int] | None = None  # C
-    have: dict[int, int] = {}             # the exponents of cur = P(e_k - C)
-    for sign, shift, exps in reversed(rows):
-        if common is None:
-            common = exps
-        low = {a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)}
-        acc = _mul_packed(acc, {a: m - low.get(a, 0) for a, m in common.items()}, B)
-        common = low
-        want = {a: m - low.get(a, 0) for a, m in exps.items() if m > low.get(a, 0)}
-        delta = {a: want.get(a, 0) - have.get(a, 0) for a in want.keys() | have.keys()}
-        if sum(map(abs, delta.values())) < sum(want.values()):
-            # divide out first, which keeps the degrees low
-            for a, m in sorted(delta.items(), key=lambda item: item[1]):
-                if m < 0:
-                    for _ in range(-m):
-                        cur = _div_packed(cur, a * B)
-                else:
-                    cur = _mul_packed(cur, {a: m}, B)
-        else:
-            cur = _mul_packed(1, want, B)
-        have = want
-        term = cur << shift * B
+    commons: list[dict[int, int]] = []    # C_k, last term first
+    for *_, exps in reversed(rows):
+        common = commons[-1] if commons else exps
+        commons.append({a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)})
+    steps = []                            # (sign, shift, C_k, w_k, b_k), first term first
+    b = None
+    for (sign, shift, exps), common in zip(rows, reversed(commons)):
+        w = {a: m - common.get(a, 0) for a, m in exps.items() if m > common.get(a, 0)}
+        b = w if b is None else {a: min(m, b[a]) for a, m in w.items() if a in b}
+        steps.append((sign, shift, common, w, b))
+
+    acc, base, outer, have = 0, 1, {}, {}  # U, P(b_k), C_(k+1), b_(k+1)
+    for sign, shift, common, w, b in reversed(steps):
+        acc = _mul_packed(acc, {a: m - common.get(a, 0) for a, m in outer.items()}, B)
+        base = _mul_packed(base, {a: m - have.get(a, 0) for a, m in b.items()}, B)
+        term = _mul_packed(base, {a: m - b.get(a, 0) for a, m in w.items()}, B) << shift * B
         acc = acc + term if sign > 0 else acc - term
-    acc = _mul_packed(acc, common or {}, B)
+        outer, have = common, b
+    acc = _mul_packed(acc, outer, B)
     floor = _least_floor(_phi_exponents(exps) for *_, exps in rows)
     return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den_need, qden, floor)
 

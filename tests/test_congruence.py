@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongruence import congruence, exactalg, hypergeom, qobjects
-from qcongruence.congruence import _MR_BASES, _fp_root
+from qcongruence.congruence import (_MR_BASES, _binomial_series, _fp_root, _term_changes,
+                                    _walk_terms, _zeta_order)
 from qcongruence.exactalg import INFINITE, Poly, RatFunc, cyclotomic
 from qcongruence.hypergeom import (InvalidCase, TheoremCase, Truncation, Variant, theorem_sum,
                                    truncated_terms)
@@ -436,6 +437,61 @@ def test_oracle_terms_agree_with_values_and_valuations(raw, power):
         assert check_congruence(value, mod).status is verdict
 
 
+def _series_times(f, g, p):
+    return [sum(f[i] * g[n - i] for i in range(n + 1)) % p for n in range(len(f))]
+
+
+def _series_inverse(f, p):
+    inv_f0 = pow(f[0], -1, p)
+    g = [inv_f0]
+    for n in range(1, len(f)):
+        g.append(-inv_f0 * sum(f[k] * g[n - k] for k in range(1, n + 1)) % p)
+    return g
+
+
+def reference_walk(terms, m, need, zeta, p):
+    """(low, s) of ``_walk_terms`` from scratch: each live term is the plain
+    product of its truncated binomial series, with no carry and no log."""
+    live = [t for t in terms if not t.is_zero]
+    orders = [_zeta_order(t.factors, m) for t in live]
+    low = min(orders, default=need)
+    prec = need - low
+    if prec <= 0:
+        return low, []
+    total = [0] * prec
+    for t, v in zip(live, orders):
+        unit = [1] + [0] * (prec - 1)
+        for a, e in {**t.factors, 0: t.qexp}.items():
+            f = _binomial_series(a, m, zeta, p, prec)
+            f, k = (f if e > 0 else _series_inverse(f, p)), abs(e)
+            while k:                    # unit * f**k by squaring
+                if k & 1:
+                    unit = _series_times(unit, f, p)
+                f, k = _series_times(f, f, p), k >> 1
+        for j in range(prec - (v - low)):
+            total[v - low + j] += t.sign * unit[j]
+    return low, [c % p for c in total]
+
+
+def test_walk_terms_matches_plain_products():
+    # every index of every thm1/thm2 case with d <= 7, n <= 20, at the stated
+    # power and one and two above it: precisions 1 to 4
+    cases = [c for v in Variant for c in enumerate_cases(v, 7, 20, (-7, 7))]
+    assert {c.variant for c in cases} == set(Variant)
+    precisions = set()
+    for c in cases:
+        terms = truncated_terms(c.d, c.r, c.upper_bound)
+        steps = _term_changes(terms)
+        for extra in range(3):
+            mod = q_integer_modulus(c.n, (2 if c.variant is Variant.THM1 else 1) + extra)
+            for m, need in mod.parts.items():
+                p, zeta = _fp_root(m)
+                low, series = _walk_terms(steps, m, need, zeta, p)
+                assert (low, [s % p for s in series]) == reference_walk(terms, m, need, zeta, p)
+                precisions.add(need - low)
+    assert {1, 2, 3, 4} <= precisions
+
+
 def _criterion_8_grid():
     cases = (enumerate_cases(Variant.THM1, 5, 14, (-5, 1))
              + enumerate_cases(Variant.THM2, 5, 14, (-5, 1)))
@@ -459,6 +515,7 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
                         (exactalg.Poly, "_divmod"), (exactalg.Poly, "div_exact"),
                         (exactalg, "_peel"), (exactalg, "_phi_exponents"),
                         (exactalg, "_least_floor"), (qobjects, "_phi_exponents"),
-                        (qobjects, "_least_floor")]:
+                        (qobjects, "_least_floor"), (exactalg, "_mul_packed"),
+                        (exactalg, "_unpack"), (qobjects, "_mul_packed")]:
         monkeypatch.setattr(owner, name, forbidden)
     assert [oracle_check(terms, mod) for terms, mod, _ in grid] == expected

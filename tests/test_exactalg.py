@@ -28,7 +28,6 @@ from qcongruence.exactalg import (
     _binomial_count,
     _binomial_exponents,
     _binomial_steps,
-    _div_packed,
     _divide_out,
     _expand_factors,
     _phi_exponents,
@@ -440,18 +439,6 @@ def test_binomial_count_rejects_a_zero_or_a_floor_past_the_degree():
 
 def pack(coeffs, B):
     return sum(c << (i * B) for i, c in enumerate(coeffs))
-
-
-@given(st.integers(-(2 ** 4000), 2 ** 4000), st.integers(1, 400))
-def test_div_packed_gives_back_the_quotient(q, k):
-    assert _div_packed(q * ((1 << k) - 1), k) == q
-
-
-@given(st.integers(-(2 ** 4000), 2 ** 4000), st.integers(2, 400), st.data())
-def test_div_packed_rejects_a_non_multiple(q, k, data):
-    rest = data.draw(st.integers(1, (1 << k) - 2))
-    with pytest.raises(ExactDivisionError):
-        _div_packed(q * ((1 << k) - 1) + rest, k)
 
 
 @st.composite

@@ -256,9 +256,19 @@ def assert_matches_reference(value, terms):
 @example([(-1, 3, {4: -2, 6: 1}, False)], [0])
 @example([(1, 0, {1: 2, 3: -1}, False), (1, -2, {2: 1, 5: -2}, False),
           (-1, 1, {7: 3}, False), (1, 4, {4: -1, 9: 1}, False)], [])
+@example([(1, 0, {5: 2, 2: 1}, False), (-1, 1, {2: 1}, False), (1, 0, {2: 2}, False)], [])
+@example([(1, 0, {3: 2, 1: 1}, False), (1, 2, {1: 2}, False),
+          (-1, 0, {3: 1, 1: 1}, False), (1, 1, {1: 1}, False)], [])
+@example([(1, 0, {2: 3}, False), (-1, 1, {2: 1}, False), (1, 0, {2: 2}, False),
+          (1, 3, {}, False)], [])
+@example([(1, 0, {1: 1, 4: 2}, False), (-1, 1, {2: 1, 4: 1}, False)], [1])
+@example([(1, -1, {2: 2, 5: -1}, False)], [])
 def test_qsum_matches_per_term_expansion(raw, zeros):
     # poles, negated twins, zero terms (inserted at the drawn positions),
-    # one term, no terms, and neighbours that share no factor
+    # one term, no terms, and neighbours that share no factor; and for the
+    # carried prefix minimum, a factor only in the first term, a factor
+    # that leaves and comes back, a multiplicity that falls and rises, and
+    # a zero term between live ones
     terms = build_terms(raw)
     for i in zeros:
         zero = QProduct().mul_one_minus_q(0)
