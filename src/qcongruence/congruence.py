@@ -28,6 +28,7 @@ from .exactalg import (
     RatFunc,
     ValuationReport,
     Valuation,
+    _is_prime,
     cyclotomic,
     divisors,
     phi_valuation,
@@ -293,7 +294,7 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
 def van_hamme_check(p: int) -> CheckReport:
     """sum_{k=0}^{(p-1)/2} (6k+1) (1/2)_k^3 / (k!^3 4^k) = p*(-1)^((p-1)/2)
     (mod p^4), over exact rationals, for primes p > 3."""
-    if p <= 3 or any(p % k == 0 for k in range(2, int(math.isqrt(p)) + 1)):
+    if p <= 3 or not _is_prime(p):
         raise InvalidCase([f"p = {p} must be a prime greater than 3"])
     half = Fraction(1, 2)
     total = Fraction(0)
@@ -329,32 +330,6 @@ def enumerate_cases(
 # ---------------------------------------------------------------------------
 # the oracle: orders at a root of unity in F_p
 
-# deterministic Miller-Rabin bases for every n below 3.3 * 10**24
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def _fp_root(m: int) -> tuple[int, int]:
     """(p, zeta): the smallest prime p = 1 (mod m) above 2**61, and an
@@ -371,17 +346,17 @@ def _fp_root(m: int) -> tuple[int, int]:
         g += 1
 
 
-def _binomial_series(a: int, m: int, zeta: int, p: int, prec: int) -> list[int]:
+def _binomial_series(a: int, m: int, zeta: int, inv_zeta: int, p: int, prec: int,
+                     inv: list[int]) -> list[int]:
     """(q**a - 1) at q = zeta + eps, mod eps**prec, divided by eps when m | a
-    (then it vanishes once at eps = 0); a = 0 stands for q itself."""
+    (it vanishes once at eps = 0), a = 0 standing for q; inv[j] is 1/j mod p."""
     if a == 0:
         return ([zeta, 1] + [0] * prec)[:prec]
     drop = 1 if a % m == 0 else 0
-    inv_zeta = pow(zeta, -1, p)
     coeffs, c = [], pow(zeta, a, p)         # c = C(a, j) zeta**(a - j)
     for j in range(prec + drop):
         if j:
-            c = c * (a - j + 1) % p * pow(j, -1, p) % p * inv_zeta % p
+            c = c * (a - j + 1) % p * inv[j] % p * inv_zeta % p
         coeffs.append(c)
     coeffs[0] -= 1
     return coeffs[drop:]
@@ -446,10 +421,11 @@ def _walk_terms(steps: list[tuple[int, dict[int, int], list]], m: int, need: int
     prec = need - low
     if prec <= 0:
         return low, []
-    inv = [0] + [pow(n, -1, p) for n in range(1, prec)]
+    inv = [0] + [pow(n, -1, p) for n in range(1, prec + 1)]
+    inv_zeta = pow(zeta, -1, p)
     logs = {}                               # a: (f0, 1 / f0, log(f / f0))
     for a in {a for *_, changes in steps for a, _ in changes}:
-        f = _binomial_series(a, m, zeta, p, prec)
+        f = _binomial_series(a, m, zeta, inv_zeta, p, prec, inv)
         inv_f0 = pow(f[0], -1, p)
         logs[a] = f[0], inv_f0, _series_log([c * inv_f0 % p for c in f], inv, p)
     total = [0] * prec

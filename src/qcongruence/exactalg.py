@@ -808,8 +808,7 @@ class FactoredFraction:
         if self.num.is_zero:
             return RATFUNC_ZERO
         shared = {}
-        for c in {c for a in self.factors for c in divisors(a)}:
-            e = self.den_multiplicity(c)
+        for c, e in _phi_exponents(self.factors).items():
             shared[c] = e if self._floor.get(c, 0) >= e else min(
                 e, _poly_phi_valuation(self.num, c, self.binomial_floor(c)))
         k = _binomial_exponents(shared)
@@ -836,7 +835,7 @@ class FactoredFraction:
         a denominator that this one divides."""
         cofactor = {a: m - self.factors.get(a, 0) for a, m in factors.items()
                     if m > self.factors.get(a, 0)}
-        return (self.num * Poly(_expand_factors(cofactor))).shifted(qshift - self.qshift)
+        return Poly(_binomial_steps(self.num.coeffs, cofactor)).shifted(qshift - self.qshift)
 
     def __add__(self, other) -> Union["FactoredFraction", RatFunc]:
         if isinstance(other, (Poly, int)):
@@ -885,9 +884,42 @@ class FactoredFraction:
         return f"FactoredFraction(({self.num}) / ({den or 1}))"
 
 
+# Miller-Rabin to the first twelve primes proves primality below psi_12, the least strong
+# pseudoprime to them all, 399165290221 * 798330580441 (Sorenson and Webster 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n below ``_MR_LIMIT``; raises ValueError
+    above it, where the bases prove nothing."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality of {n} is not decided: bases 2..37 prove it "
+                         f"only below psi_12 = {_MR_LIMIT}")
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def rational_p_valuation(x: Union[Fraction, int], p: int) -> Valuation:
     """Standard p-adic valuation of an exact rational; INFINITE for x = 0."""
-    if p < 2 or any(p % k == 0 for k in range(2, int(math.isqrt(p)) + 1)):
+    if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     x = Fraction(x)
     if x == 0:

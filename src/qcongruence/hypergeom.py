@@ -21,12 +21,13 @@ independent:
                          each copy,
 * ``_vwp_series``      - single very-well-poised terminating series
                          (the shape shared by the multiseries transform's
-                         left side, ``watson_pair``'s 8phi7, and the
-                         Karlsson-Minton summation), with the well-poised
-                         factor put on each copy,
+                         left side and the Karlsson-Minton summation),
+                         with the well-poised factor put on each copy,
 * ``_multisum_terms``  - the (m-1)-fold sum on the transformed side, as a
-                         depth-first walk over the compositions,
-* ``watson_pair``      - its own walk for the 4phi3 side only.
+                         depth-first walk over the compositions.
+
+``watson_pair`` is Watson's 8phi7 -> 4phi3 transformation, the m = 2 case
+of the multiseries transformation, so ``andrews_lhs``/``andrews_rhs``.
 
 ``proof_decomposition`` rewrites a theorem sum as prefactor * multisum via
 the multiseries transformation specialised in base q**d, which is the
@@ -348,21 +349,12 @@ def andrews_rhs(p: AndrewsParams) -> FactoredFraction:
     return qsum(_multisum_terms(p.a, p.pairs, p.N, 1, pre))
 
 
-# ---------------------------------------------------------------------------
-# the classical m = 2 transformation, via its own walk
-
-
 def watson_pair(a: int, b: int, c: int, d: int, e: int,
                 N: int) -> tuple[FactoredFraction, FactoredFraction]:
-    """Both sides of the 8phi7 -> 4phi3 transformation, evaluated
-    independently; the two values must be equal."""
-    lhs = _vwp_series(a, [b, c, d, e], N)
-    pre = _prefactor_product(a, [(b, c), (d, e)], N, 1)
-    ratio = [(a + 1 - b - c, 1), (d, 1), (e, 1), (-N, 1),
-             (1, -1), (a + 1 - b, -1), (a + 1 - c, -1), (d + e - N - a, -1)]
-    terms = _ratio_walk(pre, ratio, 1, 1, N)
-    rhs = qsum(terms)
-    return lhs, rhs
+    """Both sides of Watson's 8phi7 -> 4phi3 transformation: the multiseries
+    transformation on the m = 2 pairs (b, c), (d, e); they must be equal."""
+    p = AndrewsParams(a, ((b, c), (d, e)), N)
+    return andrews_lhs(p), andrews_rhs(p)
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +469,9 @@ def draw_andrews_params(rng: random.Random, m: int, N: int | None = None,
 
 def draw_watson_exponents(rng: random.Random, N: int | None = None,
                           n_max: int = 4) -> tuple[int, int, int, int, int, int]:
-    order = rng.randint(0, n_max) if N is None else N
-    vals = [rng.randint(-EXPONENT_SPAN, EXPONENT_SPAN) for _ in range(5)]
-    return (*vals, order)
+    """The m = 2 draw of ``draw_andrews_params`` as (a, b, c, d, e, N)."""
+    p = draw_andrews_params(rng, 2, N, n_max)
+    return (p.a, *p.pairs[0], *p.pairs[1], p.N)
 
 
 def draw_km_params(rng: random.Random, m: int, N: int | None = None) -> KarlssonMintonParams:

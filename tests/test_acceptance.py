@@ -186,6 +186,27 @@ def test_divisor_index_residue_rule():
     assert below[5, -13, 6] == 1    # u = 2 is even and not d - 1, yet Phi_6
 
 
+def test_short_sum_divisibility_is_periodic_in_r_mod_2m():
+    # at a primitive m-th root, gcd(m, d) = 1, every factor of S(d, r, j0)
+    # and j0 itself depend on r mod m, the q-power does not move when
+    # r -> r + 2m, and no (q^d; q^d)_k with k <= j0 < m vanishes: so whether
+    # Phi_m divides the short sum depends on r only through r mod 2m
+    verdicts, sums = {}, 0
+    for d in (5, 7, 9):
+        for m in range(2, 13):
+            if math.gcd(m, d) != 1:
+                continue
+            for r in range(-6 * m - d, d - 3):
+                if r % 2 == 0 or math.gcd(d, r) != 1:
+                    continue
+                j0 = (-r * pow(d, -1, m)) % m
+                divides = truncated_sum(d, r, j0).valuation(m) >= 1
+                assert verdicts.setdefault((d, m, r % (2 * m)), divides) == divides, (d, m, r)
+                sums += 1
+    assert (sums, len(verdicts)) == (544, 179)
+    assert set(verdicts.values()) == {True, False}
+
+
 def test_criterion_4_d3_regression():
     failures = []
     # the r = 1 family genuinely fails mod Phi_n^2 at d = 3

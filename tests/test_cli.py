@@ -810,6 +810,11 @@ NAMED_ERRORS = [
       H + "n must be a positive integer"]),
     (("identity", "andrews", "--N", "-1", "--trials", "1"),
      ["error: termination order must be non-negative"]),
+    (("verify", "vanhamme", "--p", "3"), [H + "p = 3 must be a prime greater than 3"]),
+    (("verify", "vanhamme", "--p", "9"), [H + "p = 9 must be a prime greater than 3"]),
+    (("verify", "vanhamme", "--p", "318665857834031151167461"),
+     ["error: primality of 318665857834031151167461 is not decided: bases 2..37 prove it "
+      "only below psi_12 = 318665857834031151167461"]),
 ]
 
 

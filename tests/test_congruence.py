@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcongruence import congruence, exactalg, hypergeom, qobjects
-from qcongruence.congruence import (_MR_BASES, _binomial_series, _fp_root, _term_changes,
-                                    _walk_terms, _zeta_order)
-from qcongruence.exactalg import INFINITE, Poly, RatFunc, cyclotomic
+from qcongruence.congruence import (_binomial_series, _fp_root, _term_changes, _walk_terms,
+                                    _zeta_order)
+from qcongruence.exactalg import _MR_BASES, INFINITE, Poly, RatFunc, cyclotomic
 from qcongruence.hypergeom import (InvalidCase, TheoremCase, Truncation, Variant, theorem_sum,
                                    truncated_terms)
 from qcongruence.qobjects import QProduct, qsum, rising_factorial
 from qcongruence.congruence import (
+    CONJECTURE_R,
     CheckStatus,
     Conjecture,
     Lemma3Truncation,
@@ -168,6 +169,21 @@ def test_conjecture3_small():
     )
     assert rep.modulus.parts == {7: 4}
     assert rep.status is CheckStatus.PASS
+
+
+def test_first_family_conjecture_is_thm1_at_n():
+    # on the first family the Phi_n^3 that conj1 (r = 1) and conj2 (r = -1)
+    # ask for is thm1's own requirement at n ([n] * Phi_n^2 holds Phi_n
+    # three times), and both checks read the same valuation there
+    checked = 0
+    for which, r in CONJECTURE_R.items():
+        for case in enumerate_cases(Variant.THM1, 7, 20, (r, r)):
+            conj, thm = check_conjecture(case, which), check_theorem(case)
+            assert conj.modulus.parts[case.n] == thm.modulus.parts[case.n] == 3
+            assert conj.valuations.achieved[case.n] == thm.valuations.achieved[case.n], \
+                case.describe()
+            checked += 1
+    assert checked == 24
 
 
 def test_conjecture_preconditions():
@@ -462,7 +478,8 @@ def reference_walk(terms, m, need, zeta, p):
     for t, v in zip(live, orders):
         unit = [1] + [0] * (prec - 1)
         for a, e in {**t.factors, 0: t.qexp}.items():
-            f = _binomial_series(a, m, zeta, p, prec)
+            f = _binomial_series(a, m, zeta, pow(zeta, -1, p), p, prec,
+                                 [0] + [pow(j, -1, p) for j in range(1, prec + 1)])
             f, k = (f if e > 0 else _series_inverse(f, p)), abs(e)
             while k:                    # unit * f**k by squaring
                 if k & 1:

@@ -1,5 +1,6 @@
 """Exact polynomial / rational function arithmetic and valuations."""
 
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -25,11 +26,14 @@ from qcongruence.exactalg import (
 )
 from qcongruence import exactalg
 from qcongruence.exactalg import (
+    _MR_BASES,
+    _MR_LIMIT,
     _binomial_count,
     _binomial_exponents,
     _binomial_steps,
     _divide_out,
     _expand_factors,
+    _is_prime,
     _phi_exponents,
     _poly_phi_valuation,
     _unpack,
@@ -573,10 +577,35 @@ def test_infinite_valuation_ordering():
     assert INFINITE == INFINITE
 
 
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10 ** 5):
+        assert _is_prime(n) == (n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))), n
+
+
+def test_is_prime_refuses_numbers_its_bases_do_not_decide():
+    # psi_12, the least strong pseudoprime to every base 2..37, is composite
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == _MR_LIMIT
+    d, s = psi12 - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, psi12)
+        assert x == 1 or any(pow(x, 2 ** i, psi12) == psi12 - 1 for i in range(s))
+    for n in (psi12, psi12 + 2):
+        with pytest.raises(ValueError, match="not decided"):
+            _is_prime(n)
+        with pytest.raises(ValueError, match="not decided"):
+            rational_p_valuation(1, n)
+    assert _is_prime(2 ** 61 - 1)
+
+
 def test_rational_p_valuation():
     assert rational_p_valuation(5, 5) == 1
     assert rational_p_valuation(Fraction(1, 25), 5) == -2
     assert rational_p_valuation(7, 3) == 0
     assert rational_p_valuation(0, 5) == INFINITE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p = 4 is not prime$"):
         rational_p_valuation(3, 4)
+    with pytest.raises(ValueError, match=r"^p = 1 is not prime$"):
+        rational_p_valuation(3, 1)
