@@ -17,7 +17,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence, Union
 
@@ -28,19 +27,22 @@ from .exactalg import (
     RatFunc,
     ValuationReport,
     Valuation,
+    _binomial_exponents,
+    _binomial_steps,
     _is_prime,
     cyclotomic,
     divisors,
     phi_valuation,
     rational_p_valuation,
 )
-from .qobjects import QPochSpec, QProduct, qsum, rising_factorial
+from .qobjects import QProduct, qsum
 from .hypergeom import (
     InvalidCase,
     TheoremCase,
     Truncation,
     Variant,
     _case_violations,
+    _ratio_walk,
     theorem_sum,
     truncated_sum,
     truncated_terms,
@@ -101,11 +103,9 @@ class Modulus:
             raise ValueError("all requirements must be >= 1")
 
     def polynomial(self) -> Poly:
-        """The modulus as an explicit polynomial (product of Phi powers)."""
-        p = Poly((1,))
-        for m in sorted(self.parts):
-            p = p * cyclotomic(m) ** self.parts[m]
-        return p
+        """The modulus as an explicit polynomial (product of Phi powers),
+        by the binomial steps that ``cyclotomic`` takes."""
+        return Poly(_binomial_steps([1], _binomial_exponents(self.parts)))
 
     def describe(self) -> str:
         return " * ".join(f"Phi_{m}^{k}" if k > 1 else f"Phi_{m}"
@@ -267,7 +267,8 @@ def check_lemma4(d: int, r: int, n: int) -> bool:
 
 def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckReport:
     """(q^(r-an), q^(r+an); q^d)_k = (q^r; q^d)_k^2  (mod Phi_n**2),
-    verified for every k up to k_max."""
+    verified for every k up to k_max; both sides are walked by their term
+    ratios in base q**d, the right side negated on each copy."""
     bad = []
     if k_max < 0:
         bad.append("k_max must be non-negative")
@@ -277,35 +278,34 @@ def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckRep
         bad.append("n must be a positive integer")
     if bad:
         raise InvalidCase(bad)
+    lhs = _ratio_walk(QProduct(), [(r - alpha * n, 1), (r + alpha * n, 1)], d, 0, k_max)
+    rhs = _ratio_walk(QProduct(), [(r, 2)], d, 0, k_max)
     worst: Valuation = INFINITE
-    for k in range(k_max + 1):
-        lhs = QProduct().mul_pochhammer(QPochSpec(r - alpha * n, d, k))
-        lhs.mul_pochhammer(QPochSpec(r + alpha * n, d, k))
-        rhs = QProduct().mul_pochhammer(QPochSpec(r, d, k), 2)
-        rhs.sign = -rhs.sign
-        v = phi_valuation(qsum([lhs, rhs]), n)
-        if v < worst:
-            worst = v
+    for a, b in zip(lhs, rhs):
+        b.sign = -b.sign
+        worst = min(worst, phi_valuation(qsum([a, b]), n))
     return CheckReport.verdict(
         f"modsquare(alpha={alpha}, r={r}, n={n}, d={d}, k_max={k_max})",
         phi_modulus(n, 2), {n: worst}, k_max + 1)
 
 
 def van_hamme_check(p: int) -> CheckReport:
-    """sum_{k=0}^{(p-1)/2} (6k+1) (1/2)_k^3 / (k!^3 4^k) = p*(-1)^((p-1)/2)
-    (mod p^4), over exact rationals, for primes p > 3."""
+    """sum_{k=0}^{K} (6k+1) (1/2)_k^3 / (k!^3 4^k) = p*(-1)^K  (mod p^4),
+    K = (p-1)/2, for primes p > 3, over the integers.
+
+    (1/2)_k^3 / (k!^3 4^k) = C(2k, k)^3 / 256^k, so the sum is N / 256^K
+    with N = sum_k (6k+1) C(2k, k)^3 256^(K-k), summed by Horner's rule as
+    C(2k, k) walks its term ratio 2(2k+1)/(k+1).  256^K is prime to p, so
+    the valuation of N - p(-1)^K 256^K is the achieved one."""
     if p <= 3 or not _is_prime(p):
         raise InvalidCase([f"p = {p} must be a prime greater than 3"])
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    fact = Fraction(1)
-    for k in range((p - 1) // 2 + 1):
-        if k:
-            fact *= k
-        total += (6 * k + 1) * rising_factorial(half, k) ** 3 / (fact ** 3 * Fraction(4) ** k)
-    target = p * (-1) ** ((p - 1) // 2)
-    v = rational_p_valuation(total - target, p)
-    return CheckReport.verdict(f"vanhamme(p={p})", Modulus({p: 4}), {p: v}, (p - 1) // 2 + 1)
+    K = (p - 1) // 2
+    total, central = 0, 1                   # N so far, C(2k, k)
+    for k in range(K + 1):
+        total = total * 256 + (6 * k + 1) * central ** 3
+        central = central * 2 * (2 * k + 1) // (k + 1)
+    v = rational_p_valuation(total - p * (-1) ** K * 256 ** K, p)
+    return CheckReport.verdict(f"vanhamme(p={p})", Modulus({p: 4}), {p: v}, K + 1)
 
 
 def enumerate_cases(

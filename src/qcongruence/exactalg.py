@@ -390,7 +390,11 @@ def q_integer(n: int) -> Poly:
 
 
 class RatFunc:
-    """Canonical fraction num/den of two integer polynomials in q."""
+    """Canonical fraction num/den of two integer polynomials in q.
+
+    The constructor is the one place that reduces: arithmetic combines the
+    fractions and hands the result to it, and as the canonical form is
+    unique, nothing is reduced beforehand."""
 
     __slots__ = ("num", "den")
 
@@ -445,10 +449,7 @@ class RatFunc:
 
     def __add__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
         other = _as_ratfunc(other)
-        g = poly_gcd(self.den, other.den)
-        sd, od = self.den.div_exact(g), other.den.div_exact(g)
-        num = self.num * od + other.num * sd
-        return RatFunc(num, sd * od * g)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -460,22 +461,7 @@ class RatFunc:
 
     def __mul__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
         other = _as_ratfunc(other)
-        if self.is_zero or other.is_zero:
-            return RATFUNC_ZERO
-        a, d = self.num, other.den
-        g = poly_gcd(a, d)
-        if g != ONE:
-            a, d = a.div_exact(g), d.div_exact(g)
-        b, c = self.den, other.num
-        g = poly_gcd(c, b)
-        if g != ONE:
-            c, b = c.div_exact(g), b.div_exact(g)
-        num, den = a * c, b * d
-        cont = math.gcd(num.content, den.content)
-        if cont > 1:
-            num = Poly(x // cont for x in num.coeffs)
-            den = Poly(x // cont for x in den.coeffs)
-        return RatFunc._from_canonical(num, den)
+        return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 

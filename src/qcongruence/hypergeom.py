@@ -4,7 +4,8 @@ All series parameters are integer exponents of q (a = q**alpha and so on),
 so every value is a rational function in q.  The evaluators return the
 unreduced ``FactoredFraction`` that ``qsum`` builds: valuations and zero
 tests read it directly, sums and products of such values stay unreduced,
-and only ``==`` or ``to_ratfunc`` reduce it.
+and only ``==`` or ``to_ratfunc`` reduce it, to a ``RatFunc``, which
+reduces only in its constructor.
 Very-well-poised parameter pairs (q*sqrt(a), -q*sqrt(a)) / (sqrt(a),
 -sqrt(a)) are never split into square roots: the paired quotient collapses
 to (1 - a*q**(2k)) / (1 - a), which keeps all exponents integral.
@@ -26,8 +27,12 @@ independent:
 * ``_multisum_terms``  - the (m-1)-fold sum on the transformed side, as a
                          depth-first walk over the compositions.
 
-``watson_pair`` is Watson's 8phi7 -> 4phi3 transformation, the m = 2 case
-of the multiseries transformation, so ``andrews_lhs``/``andrews_rhs``.
+``theorem_term`` is term k of ``truncated_terms``, and
+``congruence.check_mod_square`` walks both of its sides with
+``_ratio_walk``, so no series in the package rebuilds a q-Pochhammer symbol
+from k = 0.  ``watson_pair`` is Watson's 8phi7 -> 4phi3 transformation,
+the m = 2 case of the multiseries transformation, so
+``andrews_lhs``/``andrews_rhs``.
 
 ``proof_decomposition`` rewrites a theorem sum as prefactor * multisum via
 the multiseries transformation specialised in base q**d, which is the
@@ -188,17 +193,6 @@ def _ratio_walk(start: QProduct, ratio: Sequence[tuple[int, int]], base: int,
 # the truncated sums
 
 
-def _term_product(d: int, r: int, k: int) -> QProduct:
-    # [2dk + r] * (q^r; q^d)_k^d / (q^d; q^d)_k^d * q^(d(d-r-2)k/2)
-    t = QProduct()
-    t.mul_one_minus_q(2 * d * k + r, 1)
-    t.mul_one_minus_q(1, -1)
-    t.mul_pochhammer(QPochSpec(r, d, k), d)
-    t.mul_pochhammer(QPochSpec(d, d, k), -d)
-    t.mul_qpow(d * (d - r - 2) * k // 2)
-    return t
-
-
 def _check_sum_shape(d: int, r: int) -> None:
     if d < 1:
         raise ValueError("d must be a positive integer")
@@ -210,7 +204,7 @@ def theorem_term(case: TheoremCase, k: int) -> RatFunc:
     """The exact k-th summand of the theorem sum, 0 <= k <= M."""
     if not 0 <= k <= case.upper_bound:
         raise ValueError(f"k = {k} outside 0..{case.upper_bound}")
-    return _term_product(case.d, case.r, k).to_ratfunc()
+    return truncated_terms(case.d, case.r, k)[k].to_ratfunc()
 
 
 def truncated_terms(d: int, r: int, upper: int) -> list[QProduct]:

@@ -1,5 +1,6 @@
 """Modulus profiles, case checkers, oracle agreement, enumeration."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,12 @@ def test_modulus_polynomial():
         cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
     )
     assert q_integer_modulus(4, 2).describe() == "Phi_2 * Phi_4^3"
+    for n, k in [(n, k) for n in range(2, 40) for k in range(4)]:
+        mod = q_integer_modulus(n, k)
+        want = Poly((1,))
+        for m, power in mod.parts.items():
+            want = want * cyclotomic(m) ** power
+        assert mod.polynomial() == want
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +297,32 @@ def test_van_hamme_p5_exact_value():
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_van_hamme_more_primes(p):
     assert van_hamme_check(p).status is CheckStatus.PASS
+
+
+def van_hamme_reference(p):
+    # the sum over exact rationals, as the congruence is written
+    half = Fraction(1, 2)
+    total = sum(
+        (6 * k + 1) * rising_factorial(half, k) ** 3
+        / (Fraction(math.factorial(k)) ** 3 * 4**k)
+        for k in range((p - 1) // 2 + 1)
+    )
+    return exactalg.rational_p_valuation(total - p * (-1) ** ((p - 1) // 2), p)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 300) if exactalg._is_prime(p)])
+def test_van_hamme_integer_sum_matches_rational_reference(p):
+    rep = van_hamme_check(p)
+    assert rep.valuations.achieved[p] == van_hamme_reference(p)
+    assert rep.term_count == (p - 1) // 2 + 1
+
+
+def test_van_hamme_large_prime():
+    # the integer walk makes p = 10007 well under a second; summing
+    # reduced Fractions took minutes
+    rep = van_hamme_check(10007)
+    assert rep.status is CheckStatus.PASS
+    assert rep.valuations.achieved[10007] == 4
 
 
 def test_van_hamme_rejects_small_or_composite():

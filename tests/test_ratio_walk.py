@@ -2,7 +2,8 @@
 
 The reference builders below multiply in every q-Pochhammer symbol of term
 k from k = 0, the way the series are written.  The evaluators in
-``hypergeom`` step each term from its neighbour instead.  Both must give
+``hypergeom``, ``theorem_term`` and ``congruence.check_mod_square`` step
+each term from its neighbour instead.  Both must give
 every term the same (sign, qexp, factors, is_zero), zero terms included,
 and raise VanishingDenominator on the same draws: the identity records
 count the draws that raised."""
@@ -11,9 +12,13 @@ import random
 
 import pytest
 
-from qcongruence import hypergeom
+from qcongruence import congruence, hypergeom, qobjects
+from qcongruence.congruence import check_mod_square
 from qcongruence.hypergeom import (
+    AndrewsParams,
+    KarlssonMintonParams,
     TheoremCase,
+    Truncation,
     Variant,
     _multisum_terms,
     _prefactor_product,
@@ -26,6 +31,8 @@ from qcongruence.hypergeom import (
     gasper_terminating_sum,
     multi_km_sum,
     proof_decomposition,
+    theorem_term,
+    truncated_sum,
     truncated_terms,
     watson_pair,
 )
@@ -57,6 +64,14 @@ def ref_theorem_terms(d, r, upper):
         t.mul_qpow(d * (d - r - 2) * k // 2)
         terms.append(t)
     return terms
+
+
+def ref_mod_square_terms(alpha, r, n, d, k):
+    lhs = QProduct().mul_pochhammer(QPochSpec(r - alpha * n, d, k))
+    lhs.mul_pochhammer(QPochSpec(r + alpha * n, d, k))
+    rhs = QProduct().mul_pochhammer(QPochSpec(r, d, k), 2)
+    rhs.sign = -rhs.sign
+    return [lhs, rhs]
 
 
 def ref_vwp_terms(alpha, bc, N, base=1):
@@ -206,7 +221,7 @@ def test_walked_identity_terms_equal_terms_from_scratch(kind, monkeypatch):
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_walked_theorem_terms_equal_terms_from_scratch(d):
     zero_terms = 0
-    for r in range(-5 * d, d - 3, 2):      # odd r, so the q-power is integral
+    for r in range(-5 * d, d, 2):          # odd r, so the q-power is integral
         walked = truncated_terms(d, r, 9)
         assert [key(t) for t in walked] == [key(t) for t in ref_theorem_terms(d, r, 9)]
         zero_terms += sum(t.is_zero for t in walked)
@@ -253,3 +268,55 @@ def test_walked_proof_decomposition_equals_terms_from_scratch(d, r, n, variant, 
     pairs = hypergeom._decomposition_pairs(case)
     assert len(pairs) == case.depth
     assert keys(sums[:1]) == keys([ref_multisum_terms(r, pairs, case.upper_bound, d)])
+
+
+@pytest.mark.parametrize("d,r,n,variant,truncation", [
+    (5, 1, 9, Variant.THM1, Truncation.UPPER), (5, -3, 8, Variant.THM1, Truncation.FULL),
+    (7, 1, 13, Variant.THM1, Truncation.UPPER), (5, 1, 7, Variant.THM2, Truncation.FULL),
+    (7, -1, 11, Variant.THM2, Truncation.UPPER),
+])
+def test_theorem_term_equals_term_from_scratch(d, r, n, variant, truncation):
+    case = TheoremCase(d, r, n, variant, truncation)
+    M = case.upper_bound
+    want = ref_theorem_terms(d, r, M)
+    assert [theorem_term(case, k) for k in range(M + 1)] == [t.to_ratfunc() for t in want]
+
+
+def test_walked_mod_square_terms_equal_terms_from_scratch(monkeypatch):
+    # alpha = 0 makes both sides equal, r = 0 zeroes every term from k = 1
+    real_qsum = congruence.qsum
+    sums = []
+    monkeypatch.setattr(congruence, "qsum",
+                        lambda terms: sums.append(list(terms)) or real_qsum(terms))
+    k_max, zero_terms = 4, 0
+    for alpha in range(-1, 3):
+        for r in range(-4, 5):
+            for n in (1, 2, 3, 5):
+                for d in (1, 2, 3):
+                    sums.clear()
+                    check_mod_square(alpha, r, n, d, k_max)
+                    want = [ref_mod_square_terms(alpha, r, n, d, k) for k in range(k_max + 1)]
+                    assert keys(sums) == keys(want), (alpha, r, n, d)
+                    zero_terms += sum(t.is_zero for pair in sums for t in pair)
+    assert zero_terms > 0
+
+
+def test_no_series_rebuilds_a_pochhammer_symbol(monkeypatch):
+    # every term comes from its neighbour; only the prefactor of the
+    # transformed side and q_pochhammer build one product each
+    case = TheoremCase(5, 1, 9, Variant.THM1)
+    andrews = AndrewsParams(20, ((1, 2), (3, 5), (-2, 7)), 3)
+    series = [
+        lambda: truncated_sum(5, 1, 6),
+        lambda: theorem_term(case, case.upper_bound),
+        lambda: check_mod_square(1, 1, 7, 5, 3).valuations,
+        lambda: andrews_lhs(andrews),
+        lambda: gasper_terminating_sum(KarlssonMintonParams(7, (3, -5), (1, 0), 3)),
+    ]
+    want = [build() for build in series]
+
+    def forbidden(*_):
+        raise AssertionError("mul_pochhammer called")
+
+    monkeypatch.setattr(qobjects.QProduct, "mul_pochhammer", forbidden)
+    assert [build() for build in series] == want
