@@ -4,126 +4,16 @@ hypergeometric sums, and of the hypergeometric identities behind them.
 All arithmetic is exact, over dense integer polynomials in q.  A sum stays
 factored, a numerator over (q^a - 1) factors (``FactoredFraction``), and
 congruences modulo cyclotomic powers are decided by exact valuations.
+
+The package's public names are its modules' ``__all__``, re-exported.
 """
 
-from .exactalg import (
-    INFINITE,
-    FactoredFraction,
-    Poly,
-    RatFunc,
-    ValuationReport,
-    cyclotomic,
-    divisors,
-    phi_valuation,
-    poly_gcd,
-    q_integer,
-    ratfunc_normalize,
-    rational_p_valuation,
-)
-from .qobjects import (
-    QPochSpec,
-    QProduct,
-    VanishingDenominator,
-    q_poch_product,
-    q_pochhammer,
-    qsum,
-    rising_factorial,
-)
-from .hypergeom import (
-    AndrewsParams,
-    InvalidCase,
-    KarlssonMintonParams,
-    TheoremCase,
-    Truncation,
-    Variant,
-    andrews_lhs,
-    andrews_rhs,
-    gasper_terminating_sum,
-    multi_km_sum,
-    proof_decomposition,
-    theorem_sum,
-    theorem_term,
-    truncated_sum,
-    truncated_terms,
-    watson_pair,
-)
-from .congruence import (
-    CheckReport,
-    CheckStatus,
-    Conjecture,
-    Lemma3Truncation,
-    Modulus,
-    check_congruence,
-    check_conjecture,
-    check_lemma3,
-    check_lemma4,
-    check_mod_square,
-    check_sum,
-    check_theorem,
-    enumerate_cases,
-    legacy_check,
-    oracle_check,
-    phi_modulus,
-    q_integer_modulus,
-    validate_case,
-    van_hamme_check,
-)
+from . import congruence, exactalg, hypergeom, qobjects
+from .exactalg import *
+from .qobjects import *
+from .hypergeom import *
+from .congruence import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AndrewsParams",
-    "CheckReport",
-    "CheckStatus",
-    "Conjecture",
-    "FactoredFraction",
-    "INFINITE",
-    "InvalidCase",
-    "KarlssonMintonParams",
-    "Lemma3Truncation",
-    "Modulus",
-    "Poly",
-    "QPochSpec",
-    "QProduct",
-    "RatFunc",
-    "TheoremCase",
-    "Truncation",
-    "ValuationReport",
-    "VanishingDenominator",
-    "Variant",
-    "andrews_lhs",
-    "andrews_rhs",
-    "check_congruence",
-    "check_conjecture",
-    "check_lemma3",
-    "check_lemma4",
-    "check_mod_square",
-    "check_sum",
-    "check_theorem",
-    "cyclotomic",
-    "divisors",
-    "enumerate_cases",
-    "gasper_terminating_sum",
-    "legacy_check",
-    "multi_km_sum",
-    "oracle_check",
-    "phi_modulus",
-    "phi_valuation",
-    "poly_gcd",
-    "proof_decomposition",
-    "q_integer",
-    "q_integer_modulus",
-    "q_poch_product",
-    "q_pochhammer",
-    "qsum",
-    "ratfunc_normalize",
-    "rational_p_valuation",
-    "rising_factorial",
-    "theorem_sum",
-    "theorem_term",
-    "truncated_sum",
-    "truncated_terms",
-    "validate_case",
-    "van_hamme_check",
-    "watson_pair",
-]
+__all__ = exactalg.__all__ + qobjects.__all__ + hypergeom.__all__ + congruence.__all__

@@ -29,6 +29,7 @@ from .hypergeom import (
     TheoremCase,
     Truncation,
     Variant,
+    _solved_index,
     andrews_lhs,
     andrews_rhs,
     draw_andrews_params,
@@ -168,7 +169,7 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
         report = CheckReport(
             f"lemma4(d={args.d}, r={args.r}, n={args.n})", Modulus({}),
             ValuationReport({}, {}, ok), CheckStatus.PASS if ok else CheckStatus.FAIL,
-            (args.d * args.n - 2 * args.n - args.r) // args.d)
+            _solved_index(args.d, args.r, args.n))
         return report, {"d": args.d, "r": args.r, "n": args.n}
     if kind == "modsquare":
         report = check_mod_square(args.alpha, args.r, args.n, args.d, args.k_max)

@@ -43,6 +43,7 @@ from .hypergeom import (
     Variant,
     _case_violations,
     _ratio_walk,
+    _solved_index,
     theorem_sum,
     truncated_sum,
     truncated_terms,
@@ -229,8 +230,8 @@ def check_lemma3(d: int, r: int, n: int,
                  oracle: bool = False) -> CheckReport:
     """Check the truncated sum against the bare [n] profile.
 
-    The solved truncation is the unique m in [0, n-1] with d*m = -r
-    (mod n); the alternative is the full range n-1.
+    The solved truncation is lemma 3's m (``hypergeom._solved_index``);
+    the alternative is the full range n-1.
     """
     bad = []
     if d < 1:
@@ -243,8 +244,7 @@ def check_lemma3(d: int, r: int, n: int,
         bad.append("d(d - r - 2) must be even for an integral q-power")
     if bad:
         raise InvalidCase(bad)
-    m_solved = (-r * pow(d, -1, n)) % n if n > 1 else 0
-    upper = m_solved if truncation is Truncation.M_SOLVED else max(n - 1, 0)
+    upper = _solved_index(d, r, n) if truncation is Truncation.M_SOLVED else n - 1
     mod = q_integer_modulus(n, 0) if n > 1 else Modulus({})
     return check_sum(truncated_sum(d, r, upper), (d, r, upper), mod,
                      f"lemma3(d={d}, r={r}, n={n}, m={upper})", oracle)
@@ -260,9 +260,8 @@ def check_lemma4(d: int, r: int, n: int) -> bool:
     bad = _case_violations(d, r, n, Variant.THM2, d_min=3)
     if bad:
         raise InvalidCase(bad)
-    count = (d * n - 2 * n - r) // d
     start = (d + r) // 2
-    return all((start + d * i) % n for i in range(count))
+    return all((start + d * i) % n for i in range(_solved_index(d, r, n)))
 
 
 def check_mod_square(alpha: int, r: int, n: int, d: int, k_max: int) -> CheckReport:

@@ -392,9 +392,10 @@ def q_integer(n: int) -> Poly:
 class RatFunc:
     """Canonical fraction num/den of two integer polynomials in q.
 
-    The constructor is the one place that reduces: arithmetic combines the
-    fractions and hands the result to it, and as the canonical form is
-    unique, nothing is reduced beforehand."""
+    The constructor is the one place that reduces: ``+`` hands it the
+    combined fraction, and ``*`` the two cross pairs (num1/den2, num2/den1),
+    whose product is then canonical; as the canonical form is unique,
+    nothing is reduced anywhere else."""
 
     __slots__ = ("num", "den")
 
@@ -460,8 +461,12 @@ class RatFunc:
         return _as_ratfunc(other) + (-self)
 
     def __mul__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
+        # the constructor reduces the two cross pairs; their product is then
+        # canonical by Gauss's lemma (Knuth, TAOCP vol. 2, 4.5.1), zero
+        # included, since a zero factor has denominator 1
         other = _as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b = RatFunc(self.num, other.den), RatFunc(other.num, self.den)
+        return RatFunc._from_canonical(a.num * b.num, a.den * b.den)
 
     __rmul__ = __mul__
 

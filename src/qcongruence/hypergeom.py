@@ -27,12 +27,13 @@ independent:
 * ``_multisum_terms``  - the (m-1)-fold sum on the transformed side, as a
                          depth-first walk over the compositions.
 
-``theorem_term`` is term k of ``truncated_terms``, and
-``congruence.check_mod_square`` walks both of its sides with
-``_ratio_walk``, so no series in the package rebuilds a q-Pochhammer symbol
-from k = 0.  ``watson_pair`` is Watson's 8phi7 -> 4phi3 transformation,
-the m = 2 case of the multiseries transformation, so
-``andrews_lhs``/``andrews_rhs``.
+Every q-Pochhammer product in this module comes from ``_ratio_walk``:
+``theorem_term`` is term k of ``truncated_terms``, and the transformed
+side's prefactor (``_prefactor_product``) is the last term of its walk.
+``congruence.check_mod_square`` walks both of its sides the same way, so
+no series in the package rebuilds a q-Pochhammer symbol from k = 0.
+``watson_pair`` is Watson's 8phi7 -> 4phi3 transformation, the m = 2 case
+of the multiseries transformation, so ``andrews_lhs``/``andrews_rhs``.
 
 ``proof_decomposition`` rewrites a theorem sum as prefactor * multisum via
 the multiseries transformation specialised in base q**d, which is the
@@ -48,7 +49,7 @@ from enum import Enum
 from typing import Iterator, Sequence
 
 from .exactalg import FactoredFraction, RatFunc
-from .qobjects import QPochSpec, QProduct, VanishingDenominator, qsum
+from .qobjects import QProduct, VanishingDenominator, qsum
 
 __all__ = [
     "AndrewsParams",
@@ -120,6 +121,13 @@ def _case_violations(d: int, r: int, n: int, variant: Variant,
     return bad
 
 
+def _solved_index(d: int, r: int, n: int) -> int:
+    """Lemma 3's m: the unique m in [0, n) with d*m = -r (mod n), for
+    gcd(d, n) = 1 (0 when n = 1).  On the theorem cases it is both
+    families' upper truncation, (dn - n - r)/d and (dn - 2n - r)/d."""
+    return (-r * pow(d, -1, n)) % n
+
+
 @dataclass(frozen=True)
 class TheoremCase:
     """A validated (d, r, n) parameter tuple with its truncation choice.
@@ -144,13 +152,11 @@ class TheoremCase:
 
     @property
     def upper_bound(self) -> int:
-        """The truncation order M of the sum."""
+        """The truncation order M of the sum: lemma 3's solved index, or
+        n - 1 for the full sum."""
         if self.truncation is Truncation.FULL:
             return self.n - 1
-        d, r, n = self.d, self.r, self.n
-        if self.variant is Variant.THM1:
-            return (d * n - n - r) // d
-        return (d * n - 2 * n - r) // d
+        return _solved_index(self.d, self.r, self.n)
 
     @property
     def depth(self) -> int:
@@ -286,12 +292,13 @@ def andrews_lhs(p: AndrewsParams) -> FactoredFraction:
 
 
 def _prefactor_product(alpha: int, pairs: Sequence[tuple[int, int]], N: int, base: int) -> QProduct:
+    """The transformed side's prefactor, (aQ, aQ/(b_m c_m); Q)_N /
+    (aQ/b_m, aQ/c_m; Q)_N with a = q**alpha and Q = q**base: the last term
+    of its ratio walk."""
     bm, cm = pairs[-1]
-    t = QProduct()
-    t.mul_pochhammer(QPochSpec(alpha + base, base, N))
-    t.mul_pochhammer(QPochSpec(alpha + base - bm - cm, base, N))
-    t.mul_pochhammer(QPochSpec(alpha + base - bm, base, N), -1)
-    t.mul_pochhammer(QPochSpec(alpha + base - cm, base, N), -1)
+    a = alpha + base
+    *_, t = _ratio_walk(QProduct(), [(a, 1), (a - bm - cm, 1), (a - bm, -1), (a - cm, -1)],
+                        base, 0, N)
     return t
 
 

@@ -37,7 +37,7 @@ from qcongruence.exactalg import (
     phi_valuation,
     poly_gcd,
 )
-from qcongruence.qobjects import QPochSpec, q_pochhammer
+from qcongruence.qobjects import QPochSpec, q_pochhammer, qsum
 from qcongruence.hypergeom import (
     Truncation,
     Variant,
@@ -52,6 +52,7 @@ from qcongruence.hypergeom import (
     sample_until_valid,
     theorem_sum,
     truncated_sum,
+    truncated_terms,
     watson_pair,
 )
 from qcongruence.congruence import (
@@ -205,6 +206,48 @@ def test_short_sum_divisibility_is_periodic_in_r_mod_2m():
                 sums += 1
     assert (sums, len(verdicts)) == (544, 179)
     assert set(verdicts.values()) == {True, False}
+
+
+def _solved_short_sum(d, r, m):
+    """(j0, A, s) of lemma 3's short sum at index m: d*j0 = -r (mod m),
+    A = (r + d*j0)/m and s = m - 1 - j0."""
+    j0 = (-r * pow(d, -1, m)) % m
+    return j0, (r + d * j0) // m, m - 1 - j0
+
+
+def test_divisor_index_rule_from_a():
+    # Phi_m divides S(d, r, j0) exactly when A is odd (proven: the terms
+    # reflect, next test) or d*s + 3 <= m (conjectured threshold)
+    sums = 0
+    for d in (3, 5, 7, 9):
+        for m in range(2, 17):
+            if math.gcd(m, d) != 1:
+                continue
+            for r in range(-4 * m - 1, 2 * m, 2):
+                j0, A, s = _solved_short_sum(d, r, m)
+                divides = truncated_sum(d, r, j0).valuation(m) >= 1
+                assert divides == (A % 2 == 1 or d * s + 3 <= m), (d, r, m)
+                sums += 1
+    assert sums == 1242
+
+
+def test_short_sum_terms_reflect_at_a_root_of_unity():
+    # t_(j0-k) = (-1)^A t_k at a primitive m-th root, for every k <= j0: so
+    # the short sum is (-1)^A times itself, and vanishes there when A is odd
+    pairs = 0
+    for d in (3, 5, 7, 9):
+        for m in range(2, 13):
+            if math.gcd(m, d) != 1:
+                continue
+            for r in range(-2 * m - 1, 2 * m, 2):
+                j0, A, _ = _solved_short_sum(d, r, m)
+                terms = truncated_terms(d, r, j0)
+                for k in range(j0 + 1):
+                    mirror = terms[j0 - k].copy()
+                    mirror.sign *= (-1) ** (A + 1)
+                    assert phi_valuation(qsum([terms[k], mirror]), m) >= 1, (d, r, m, k)
+                    pairs += 1
+    assert pairs == 2384
 
 
 def test_criterion_4_d3_regression():

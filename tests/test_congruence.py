@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import qcongruence
 from qcongruence import congruence, exactalg, hypergeom, qobjects
 from qcongruence.congruence import (_binomial_series, _fp_root, _term_changes, _walk_terms,
                                     _zeta_order)
@@ -33,6 +34,20 @@ from qcongruence.congruence import (
     validate_case,
     van_hamme_check,
 )
+
+
+# ---------------------------------------------------------------------------
+# the package's names
+
+
+def test_package_exports_the_union_of_module_names():
+    modules = (exactalg, qobjects, hypergeom, congruence)
+    names = [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names) == 63     # no name in two modules
+    assert sorted(qcongruence.__all__) == sorted(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(qcongruence, name) is getattr(module, name), name
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,15 @@ def test_field_properties(a, d1, d2):
         assert (f * g) / g == f
 
 
+@given(small_polys, nonzero_polys, small_polys, nonzero_polys, nonzero_polys)
+def test_product_is_the_constructors_reduction(a, b, c, d, g):
+    # g and b may cancel across the two factors, which only the cross pairs see
+    x, y = RatFunc(a * g, b), RatFunc(c * b, d * g)
+    want = RatFunc(x.num * y.num, x.den * y.den)
+    for got in (x * y, y * x):
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_ratfunc_integer_powers():
     f = RatFunc(P(1, 1), P(-1, 0, 1))
     assert f ** 0 == RatFunc(1)

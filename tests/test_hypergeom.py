@@ -32,7 +32,8 @@ from qcongruence.hypergeom import (
     truncated_sum,
     watson_pair,
 )
-from qcongruence.hypergeom import _vwp_series
+from qcongruence.hypergeom import _case_violations, _solved_index, _vwp_series
+from qcongruence import exactalg
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,28 @@ def test_case_validation():
         TheoremCase(4, 1, 5, Variant.THM1)
     # smallest THM2 case: n = (d - r)/2
     assert TheoremCase(5, 1, 2, Variant.THM2).upper_bound == 1
+
+
+def test_solved_index_is_every_stated_truncation():
+    # lemma 3's m, the one m in [0, n) with d*m = -r (mod n), is thm1's
+    # (dn - n - r)/d, thm2's (dn - 2n - r)/d, and lemma 4's count (the
+    # second family's hypotheses with d >= 3)
+    cases = 0
+    for d in range(-3, 16):
+        for r in range(-30, 16):
+            for n in range(-3, 60):
+                for variant, d_min in ((Variant.THM1, 5), (Variant.THM2, 5), (Variant.THM2, 3)):
+                    if _case_violations(d, r, n, variant, d_min):
+                        continue
+                    m = _solved_index(d, r, n)
+                    assert [x for x in range(n) if (d * x + r) % n == 0] == [m]
+                    stated = d * n - n - r if variant is Variant.THM1 else d * n - 2 * n - r
+                    assert stated == d * m, (d, r, n, variant)
+                    if d_min == 5:
+                        assert TheoremCase(d, r, n, variant).upper_bound == m
+                    cases += 1
+    assert cases == 1670
+    assert _solved_index(5, 1, 1) == 0      # lemma 3 at n = 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +452,20 @@ def test_theorem_sum_equals_vwp_form():
     bc = [r] * (d - 1) + [(d + r) // 2, d + (d - 1) * n]
     value = RatFunc(q_integer(r)) * _vwp_series(r, bc, case.upper_bound, base=d)
     assert value == theorem_sum(case)
+
+
+def test_product_with_one_needs_no_general_gcd(monkeypatch):
+    # x * 1 reduces the cross pairs (num, 1) and (1, den), which need no
+    # gcd; reducing the whole product ran the PRS gcd on a coprime pair of
+    # degree 580
+    x = theorem_sum(TheoremCase(5, 1, 9, Variant.THM1)).to_ratfunc()
+
+    def forbidden(*_):
+        raise AssertionError("_gcd_prs called")
+
+    monkeypatch.setattr(exactalg, "_gcd_prs", forbidden)
+    for product in (RatFunc(1) * x, x * RatFunc(1)):
+        assert (product.num, product.den) == (x.num, x.den)
 
 
 # ---------------------------------------------------------------------------

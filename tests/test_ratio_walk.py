@@ -3,7 +3,8 @@
 The reference builders below multiply in every q-Pochhammer symbol of term
 k from k = 0, the way the series are written.  The evaluators in
 ``hypergeom``, ``theorem_term`` and ``congruence.check_mod_square`` step
-each term from its neighbour instead.  Both must give
+each term from its neighbour instead, and the transformed side's
+prefactor is the last term of such a walk.  Both must give
 every term the same (sign, qexp, factors, is_zero), zero terms included,
 and raise VanishingDenominator on the same draws: the identity records
 count the draws that raised."""
@@ -131,8 +132,18 @@ def ref_multisum_terms(alpha, pairs, N, base, pre=None):
     return terms
 
 
+def ref_prefactor_product(alpha, pairs, N, base):
+    bm, cm = pairs[-1]
+    t = QProduct()
+    t.mul_pochhammer(QPochSpec(alpha + base, base, N))
+    t.mul_pochhammer(QPochSpec(alpha + base - bm - cm, base, N))
+    t.mul_pochhammer(QPochSpec(alpha + base - bm, base, N), -1)
+    t.mul_pochhammer(QPochSpec(alpha + base - cm, base, N), -1)
+    return t
+
+
 def ref_watson_rhs_terms(a, b, c, d, e, N):
-    pre = _prefactor_product(a, [(b, c), (d, e)], N, 1)
+    pre = ref_prefactor_product(a, [(b, c), (d, e)], N, 1)
     terms = []
     for j in range(N + 1):
         t = QProduct()
@@ -152,7 +163,7 @@ def km_pairs(p):
 
 def ref_andrews(p):
     lhs = ref_vwp_terms(p.a, [e for pair in p.pairs for e in pair], p.N)
-    pre = _prefactor_product(p.a, p.pairs, p.N, 1)
+    pre = ref_prefactor_product(p.a, p.pairs, p.N, 1)
     return [lhs, ref_multisum_terms(p.a, p.pairs, p.N, 1, pre)]
 
 
@@ -245,6 +256,8 @@ def test_walked_series_in_base_q_power_equal_terms_from_scratch(base, monkeypatc
              lambda: sums.append(list(_multisum_terms(alpha, pairs, N, base)))),
             (lambda: ref_vwp_terms(alpha, bc, N, base),
              lambda: _vwp_series(alpha, bc, N, base)),
+            (lambda: [ref_prefactor_product(alpha, pairs, N, base)],
+             lambda: sums.append([_prefactor_product(alpha, pairs, N, base)])),
         ):
             want = built(reference)
             sums.clear()
@@ -253,7 +266,7 @@ def test_walked_series_in_base_q_power_equal_terms_from_scratch(base, monkeypatc
                 raised += 1
             else:
                 assert keys(sums) == keys([want]), (alpha, pairs, N)
-    assert 0 < raised < 2 * DRAWS
+    assert 0 < raised < 3 * DRAWS
 
 
 @pytest.mark.parametrize("d,r,n,variant", [
@@ -267,7 +280,9 @@ def test_walked_proof_decomposition_equals_terms_from_scratch(d, r, n, variant, 
     proof_decomposition(case)              # sums the multisum, then the prefactor
     pairs = hypergeom._decomposition_pairs(case)
     assert len(pairs) == case.depth
-    assert keys(sums[:1]) == keys([ref_multisum_terms(r, pairs, case.upper_bound, d)])
+    pre = QProduct().mul_one_minus_q(r, 1).mul_one_minus_q(1, -1)
+    pre.mul(ref_prefactor_product(r, pairs, case.upper_bound, d))
+    assert keys(sums) == keys([ref_multisum_terms(r, pairs, case.upper_bound, d), [pre]])
 
 
 @pytest.mark.parametrize("d,r,n,variant,truncation", [
@@ -302,8 +317,8 @@ def test_walked_mod_square_terms_equal_terms_from_scratch(monkeypatch):
 
 
 def test_no_series_rebuilds_a_pochhammer_symbol(monkeypatch):
-    # every term comes from its neighbour; only the prefactor of the
-    # transformed side and q_pochhammer build one product each
+    # every term, and the transformed side's prefactor, comes from its
+    # neighbour; only q_pochhammer and q_poch_product build a product whole
     case = TheoremCase(5, 1, 9, Variant.THM1)
     andrews = AndrewsParams(20, ((1, 2), (3, 5), (-2, 7)), 3)
     series = [
@@ -311,6 +326,8 @@ def test_no_series_rebuilds_a_pochhammer_symbol(monkeypatch):
         lambda: theorem_term(case, case.upper_bound),
         lambda: check_mod_square(1, 1, 7, 5, 3).valuations,
         lambda: andrews_lhs(andrews),
+        lambda: andrews_rhs(andrews),
+        lambda: proof_decomposition(TheoremCase(5, 1, 4, Variant.THM1)),
         lambda: gasper_terminating_sum(KarlssonMintonParams(7, (3, -5), (1, 0), 3)),
     ]
     want = [build() for build in series]
