@@ -17,8 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .exactalg import (
     INFINITE,
@@ -440,61 +439,31 @@ def _walk_terms(steps: list[tuple[int, dict[int, int], list]], m: int, need: int
     return low, total
 
 
-def _taylor(coeffs: tuple[int, ...], zeta: int, p: int) -> Iterator[int]:
-    """The coefficients of c(zeta + eps) mod p, low to high: each is the
-    remainder of one more synthetic division by q - zeta."""
-    cs = [c % p for c in coeffs]
-    while cs:
-        acc, quot = 0, []
-        for c in reversed(cs):
-            acc = (acc * zeta + c) % p
-            quot.append(acc)
-        yield quot.pop()
-        cs = quot[::-1]
-
-
-def _value_series(f: Union[FactoredFraction, RatFunc], m: int, need: int, zeta: int,
-                  p: int) -> tuple[int, list[int]]:
-    """(low, s) as ``_walk_terms`` gives it, for a value: low is minus the
-    order of the denominator at zeta, s the numerator's Taylor series (the
-    denominator's unit changes no order)."""
-    if isinstance(f, FactoredFraction):
-        low = -_zeta_order(f.factors, m)
-    else:
-        low = -next(j for j, c in enumerate(_taylor(f.den.coeffs, zeta, p)) if c)
-    return low, list(islice(_taylor(f.num.coeffs, zeta, p), need - low))
-
-
-def oracle_check(f: Union[Sequence[QProduct], FactoredFraction, RatFunc],
-                 mod: Modulus) -> CheckStatus:
-    """Verdict from the order of f at a root of unity in F_p, a route that
-    shares no code with the summation or the valuation count.
+def oracle_check(terms: Sequence[QProduct], mod: Modulus) -> CheckStatus:
+    """Verdict from the order of the sum of ``terms`` at a root of unity in
+    F_p, a route that shares no code with the summation or the valuation
+    count.
 
     For each required index m, q = zeta + eps with zeta of exact order m in
     F_p (``_fp_root``): Phi_m has the simple root zeta there, and every
-    (q**a - 1) vanishes at zeta exactly when m | a.  A list of ``QProduct``
-    terms is diffed once (``_term_changes``) and walked at each index, each
-    term's unit carried as a value and a log series (``_walk_terms``); a
-    value has its numerator, and a RatFunc its denominator, expanded at
-    zeta by Taylor shift (``_value_series``).  The first non-zero coefficient of the
-    series gives the order; a negative order is a pole (ERROR, which wins),
-    one below the requirement a FAIL.
+    (q**a - 1) vanishes at zeta exactly when m | a.  The terms are diffed
+    once (``_term_changes``) and walked at each index, each term's unit
+    carried as a value and a log series (``_walk_terms``).  The first
+    non-zero coefficient of the series gives the order; a negative order is
+    a pole (ERROR, which wins), one below the requirement a FAIL.
 
     Every denominator here is a product of cyclotomic factors and a power
     of q, so its order at zeta is exactly its Phi_m-valuation, and the
-    order of f is never below the valuation over Z.  A FAIL or an ERROR is
-    therefore exact; a PASS is a cross-check that is wrong only when the
-    Phi_m-free part of the numerator also vanishes at zeta mod p, which has
-    probability about deg/p with p > 2**61.
+    order of the sum is never below the valuation over Z.  A FAIL or an
+    ERROR is therefore exact; a PASS is a cross-check that is wrong only
+    when the Phi_m-free part of the numerator also vanishes at zeta mod p,
+    which has probability about deg/p with p > 2**61.
     """
-    if isinstance(f, (FactoredFraction, RatFunc)):
-        series_at = _value_series
-    else:
-        f, series_at = _term_changes(f), _walk_terms
+    steps = _term_changes(terms)
     status = CheckStatus.PASS
     for m, need in sorted(mod.parts.items()):
         p, zeta = _fp_root(m)
-        low, series = series_at(f, m, need, zeta, p)
+        low, series = _walk_terms(steps, m, need, zeta, p)
         order = next((low + j for j, c in enumerate(series) if c % p), need)
         if order < 0:
             return CheckStatus.ERROR

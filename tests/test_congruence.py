@@ -388,7 +388,8 @@ def test_oracle_matches_valuation_verdict(d, r, n, variant):
 
 
 def test_oracle_error_detection():
-    f = RatFunc(Poly((1,)), cyclotomic(9))
+    # (q^3 - 1) / (q^9 - 1) = 1 / Phi_9
+    f = [_binomial_quotient({3: 1}, {9: 1})]
     assert oracle_check(f, q_integer_modulus(9, 2)) is CheckStatus.ERROR
 
 
@@ -418,29 +419,30 @@ def _binomial_quotient(top: dict, bottom: dict, sign: int = 1) -> QProduct:
 
 
 ORACLE_ROUTES = [
-    # (sum, modulus, verdict)
-    (lambda: theorem_sum(TheoremCase(5, 1, 4, Variant.THM1)), q_integer_modulus(4, 2),
-     CheckStatus.PASS),
-    (lambda: theorem_sum(TheoremCase(5, 1, 9, Variant.THM1)), q_integer_modulus(9, 2),
-     CheckStatus.FAIL),
+    # (terms, modulus, verdict)
+    # the theorem sums' terms, k = 0..M for M = 3 (n = 4) and M = 7 (n = 9)
+    (lambda: truncated_terms(5, 1, 3), q_integer_modulus(4, 2), CheckStatus.PASS),
+    (lambda: truncated_terms(5, 1, 7), q_integer_modulus(9, 2), CheckStatus.FAIL),
     # (q^6 - 1)^2 / (q^3 - 1): Phi_3 to the first power after cancellation
-    (lambda: qsum([_binomial_quotient({6: 2}, {3: 1})]), phi_modulus(3, 1), CheckStatus.PASS),
-    (lambda: qsum([_binomial_quotient({6: 2}, {3: 1})]), phi_modulus(3, 2), CheckStatus.FAIL),
+    (lambda: [_binomial_quotient({6: 2}, {3: 1})], phi_modulus(3, 1), CheckStatus.PASS),
+    (lambda: [_binomial_quotient({6: 2}, {3: 1})], phi_modulus(3, 2), CheckStatus.FAIL),
     # a pole at a required index is an ERROR, and wins over the FAIL at index 2
-    (lambda: qsum([_binomial_quotient({}, {3: 1})]), Modulus({2: 1, 3: 1}), CheckStatus.ERROR),
-    (lambda: qsum([_binomial_quotient({1: 1}, {3: 1}), _binomial_quotient({}, {6: 1})]),
+    (lambda: [_binomial_quotient({}, {3: 1})], Modulus({2: 1, 3: 1}), CheckStatus.ERROR),
+    (lambda: [_binomial_quotient({1: 1}, {3: 1}), _binomial_quotient({}, {6: 1})],
      q_integer_modulus(6), CheckStatus.ERROR),
     # terms that cancel leave zero over a denominator with poles: PASS
-    (lambda: qsum([_binomial_quotient({2: 1}, {4: 1}), _binomial_quotient({2: 1}, {4: 1}, -1)]),
+    (lambda: [_binomial_quotient({2: 1}, {4: 1}), _binomial_quotient({2: 1}, {4: 1}, -1)],
      q_integer_modulus(4), CheckStatus.PASS),
 ]
 
 
-@pytest.mark.parametrize("total,mod,verdict", ORACLE_ROUTES)
-def test_oracle_factored_route_agrees_with_canonical(total, mod, verdict):
-    value = total()
-    assert oracle_check(value, mod) is verdict
-    assert oracle_check(value.to_ratfunc(), mod) is verdict
+@pytest.mark.parametrize("make_terms,mod,verdict", ORACLE_ROUTES)
+def test_oracle_factored_route_agrees_with_canonical(make_terms, mod, verdict):
+    # named when the oracle also read a FactoredFraction and its RatFunc;
+    # kept so the test ids stay, it now checks the terms against the count
+    terms = make_terms()
+    assert oracle_check(terms, mod) is verdict
+    assert check_congruence(qsum(terms), mod).status is verdict
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +491,13 @@ def _terms(raw):
     max_size=5,
 ), st.integers(1, 3))
 def test_oracle_terms_agree_with_values_and_valuations(raw, power):
-    # poles, negated twins and zero sums, as in the qsum valuation property
+    # poles, negated twins and zero sums, as in the qsum valuation property;
+    # named when the oracle also read values, kept so the test id stays
     terms = _terms(raw)
     value = qsum(terms)
-    canonical = value.to_ratfunc()
     for m in range(1, 13):
         mod = phi_modulus(m, power)
-        verdict = oracle_check(terms, mod)
-        assert oracle_check(value, mod) is verdict
-        assert oracle_check(canonical, mod) is verdict
-        assert check_congruence(value, mod).status is verdict
+        assert oracle_check(terms, mod) is check_congruence(value, mod).status
 
 
 def _series_times(f, g, p):
@@ -566,7 +565,9 @@ def _criterion_8_grid():
 
 
 def test_oracle_shares_no_code_with_the_engine(monkeypatch):
-    grid = _criterion_8_grid()
+    # criterion 8 compares the verdicts on the whole grid; this slice only
+    # shows that the oracle reaches them with the engine patched out
+    grid = _criterion_8_grid()[::5]
     expected = [check_congruence(theorem_sum(case), mod).status for _, mod, case in grid]
     assert {CheckStatus.PASS, CheckStatus.FAIL} <= set(expected)
 
@@ -581,6 +582,7 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
                         (exactalg, "_peel"), (exactalg, "_phi_exponents"),
                         (exactalg, "_least_floor"), (qobjects, "_phi_exponents"),
                         (qobjects, "_least_floor"), (exactalg, "_mul_packed"),
-                        (exactalg, "_unpack"), (qobjects, "_mul_packed")]:
+                        (exactalg, "_unpack"), (qobjects, "_mul_packed"),
+                        (exactalg.FactoredFraction, "to_ratfunc"), (exactalg, "poly_gcd")]:
         monkeypatch.setattr(owner, name, forbidden)
     assert [oracle_check(terms, mod) for terms, mod, _ in grid] == expected
