@@ -1,6 +1,7 @@
 """Congruence certification: valuation profiles for moduli built from
 q-integers and cyclotomic powers, case checkers, the p-adic check, and an
-oracle that reads orders at a root of unity in F_p.
+oracle that reads orders at a root of unity in F_p by a term walk that
+reads off its point which factors vanish.
 
 A modulus like [n] * Phi_n(q)**k is a finite valuation profile: since
 [n] factors as the product of Phi_m over the divisors m > 1 of n, the
@@ -17,6 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .exactalg import (
@@ -344,26 +346,20 @@ def _fp_root(m: int) -> tuple[int, int]:
         g += 1
 
 
-def _binomial_series(a: int, m: int, zeta: int, inv_zeta: int, p: int, prec: int,
+def _binomial_series(a: int, power: int, point: int, inv_point: int, p: int, prec: int,
                      inv: list[int]) -> list[int]:
-    """(q**a - 1) at q = zeta + eps, mod eps**prec, divided by eps when m | a
-    (it vanishes once at eps = 0), a = 0 standing for q; inv[j] is 1/j mod p."""
+    """(q**a - 1) at q = point + eps, mod eps**prec, from power = point**a, and
+    divided by eps when power = 1; a = 0 stands for q; inv[j] is 1/j mod p."""
     if a == 0:
-        return ([zeta, 1] + [0] * prec)[:prec]
-    drop = 1 if a % m == 0 else 0
-    coeffs, c = [], pow(zeta, a, p)         # c = C(a, j) zeta**(a - j)
+        return ([point, 1] + [0] * prec)[:prec]
+    drop = int(power == 1)
+    coeffs, c = [], power                   # c = C(a, j) point**(a - j)
     for j in range(prec + drop):
         if j:
-            c = c * (a - j + 1) % p * inv[j] % p * inv_zeta % p
+            c = c * (a - j + 1) % p * inv[j] % p * inv_point % p
         coeffs.append(c)
     coeffs[0] -= 1
     return coeffs[drop:]
-
-
-def _zeta_order(factors: dict[int, int], m: int) -> int:
-    """Order at zeta of prod (q**a - 1)**e: each factor with m | a vanishes
-    there once."""
-    return sum(e for a, e in factors.items() if a % m == 0)
 
 
 def _series_log(g: list[int], inv: list[int], p: int) -> list[int]:
@@ -385,50 +381,50 @@ def _series_exp(log: list[int], inv: list[int], p: int) -> list[int]:
     return g
 
 
-def _term_changes(terms: Sequence[QProduct]) -> list[tuple[int, dict[int, int], list]]:
-    """(sign, factors, changes) for each live term: ``changes`` lists the
-    (a, delta) that take the previous live term's exponents to this one's,
-    a = 0 standing for the power of q."""
+def _term_changes(terms: Sequence[QProduct]) -> list[tuple[int, list[tuple[int, int]]]]:
+    """(sign, changes) per live term: the (a, delta) that take the previous
+    live term's exponents to this one's, a = 0 standing for the power of q."""
     steps, have = [], {}
     for t in terms:
         if t.is_zero:
             continue
         want = {**t.factors, 0: t.qexp}
-        steps.append((t.sign, t.factors, [(a, want.get(a, 0) - have.get(a, 0))
-                                          for a in want.keys() | have.keys()
-                                          if want.get(a, 0) != have.get(a, 0)]))
+        steps.append((t.sign, [(a, want.get(a, 0) - have.get(a, 0))
+                               for a in want.keys() | have.keys()
+                               if want.get(a, 0) != have.get(a, 0)]))
         have = want
     return steps
 
 
-def _walk_terms(steps: list[tuple[int, dict[int, int], list]], m: int, need: int,
-                zeta: int, p: int) -> tuple[int, list[int]]:
+def _walk_terms(steps: list[tuple[int, list[tuple[int, int]]]], point: int, need: int,
+                p: int) -> tuple[int, list[int]]:
     """(low, s): the sum of the terms that ``_term_changes`` gave ``steps``,
-    at q = zeta + eps, is eps**low * s, mod eps**need.
+    at q = point + eps in F_p, is eps**low * s, mod eps**need.
 
-    A term with factor map e is eps**v times a unit, v the sum of e[a] over
-    the a that m divides, so low is exact.  Each factor f that occurs is
-    f0 * exp(log(f / f0)) with f0 its value at eps = 0, so the walk carries
-    the unit as a scalar u and a log series L: a change (a, delta)
+    A factor (q**a - 1) vanishes once at eps = 0 where a != 0 and
+    point**a = 1, read off the point, so each term is eps**v times a unit,
+    v carried through the changes, and low is exact.  Each factor f, that
+    root divided out, is f0 * exp(log(f / f0)) with f0 = f(0), so the walk
+    carries the unit as a scalar u and a log series L: a change (a, delta)
     multiplies u by f0**delta and adds delta * log(f / f0) to L, and the
-    term's unit is u * exp(L).  The precision is far below p, so the 1/n of
-    log and exp exist in F_p and all of it is exact.
+    unit is u * exp(L); the precision is far below p, so all is exact in F_p.
     """
-    orders = [_zeta_order(factors, m) for _, factors, _ in steps]
+    powers = {a: pow(point, a, p) for a in {a for _, ch in steps for a, _ in ch}}
+    orders = list(accumulate(sum(e for a, e in ch if a and powers[a] == 1) for _, ch in steps))
     low = min(orders, default=need)
     prec = need - low
     if prec <= 0:
         return low, []
     inv = [0] + [pow(n, -1, p) for n in range(1, prec + 1)]
-    inv_zeta = pow(zeta, -1, p)
+    inv_point = pow(point, -1, p)
     logs = {}                               # a: (f0, 1 / f0, log(f / f0))
-    for a in {a for *_, changes in steps for a, _ in changes}:
-        f = _binomial_series(a, m, zeta, inv_zeta, p, prec, inv)
+    for a, power in powers.items():
+        f = _binomial_series(a, power, point, inv_point, p, prec, inv)
         inv_f0 = pow(f[0], -1, p)
         logs[a] = f[0], inv_f0, _series_log([c * inv_f0 % p for c in f], inv, p)
     total = [0] * prec
     u, log = 1, [0] * prec
-    for (sign, _, changes), v in zip(steps, orders):
+    for (sign, changes), v in zip(steps, orders):
         for a, delta in changes:
             f0, inv_f0, log_a = logs[a]
             u = u * pow(f0 if delta > 0 else inv_f0, abs(delta), p) % p
@@ -444,13 +440,12 @@ def oracle_check(terms: Sequence[QProduct], mod: Modulus) -> CheckStatus:
     F_p, a route that shares no code with the summation or the valuation
     count.
 
-    For each required index m, q = zeta + eps with zeta of exact order m in
-    F_p (``_fp_root``): Phi_m has the simple root zeta there, and every
-    (q**a - 1) vanishes at zeta exactly when m | a.  The terms are diffed
-    once (``_term_changes``) and walked at each index, each term's unit
-    carried as a value and a log series (``_walk_terms``).  The first
-    non-zero coefficient of the series gives the order; a negative order is
-    a pole (ERROR, which wins), one below the requirement a FAIL.
+    For each required index m, the terms, diffed once (``_term_changes``),
+    are walked (``_walk_terms``) at q = zeta + eps, zeta of exact order m
+    in F_p (``_fp_root``) and so a simple root of Phi_m; the walker reads
+    off zeta which factors (q**a - 1) vanish.  The first non-zero
+    coefficient of the series gives the order; a negative order is a pole
+    (ERROR, which wins), one below the requirement a FAIL.
 
     Every denominator here is a product of cyclotomic factors and a power
     of q, so its order at zeta is exactly its Phi_m-valuation, and the
@@ -463,7 +458,7 @@ def oracle_check(terms: Sequence[QProduct], mod: Modulus) -> CheckStatus:
     status = CheckStatus.PASS
     for m, need in sorted(mod.parts.items()):
         p, zeta = _fp_root(m)
-        low, series = _walk_terms(steps, m, need, zeta, p)
+        low, series = _walk_terms(steps, zeta, need, p)
         order = next((low + j for j, c in enumerate(series) if c % p), need)
         if order < 0:
             return CheckStatus.ERROR

@@ -218,18 +218,21 @@ def _solved_short_sum(d, r, m):
 
 def test_divisor_index_rule_from_a():
     # Phi_m divides S(d, r, j0) exactly when A is odd (proven: the terms
-    # reflect, next test) or d*s + 3 <= m (conjectured threshold)
+    # reflect, next test) or d*s + 3 <= m (conjectured threshold); three r
+    # per odd class of r mod 2m up to d = 9, m = 16, then one per class on
+    # the rest of d <= 11, m <= 20
     sums = 0
-    for d in (3, 5, 7, 9):
-        for m in range(2, 17):
+    for d in (3, 5, 7, 9, 11):
+        for m in range(2, 21):
             if math.gcd(m, d) != 1:
                 continue
-            for r in range(-4 * m - 1, 2 * m, 2):
+            rs = range(-4 * m - 1, 2 * m, 2) if d <= 9 and m <= 16 else range(1, 2 * m, 2)
+            for r in rs:
                 j0, A, s = _solved_short_sum(d, r, m)
                 divides = truncated_sum(d, r, j0).valuation(m) >= 1
                 assert divides == (A % 2 == 1 or d * s + 3 <= m), (d, r, m)
                 sums += 1
-    assert sums == 1242
+    assert sums == 1680
 
 
 def test_short_sum_terms_reflect_at_a_root_of_unity():

@@ -775,6 +775,20 @@ def test_sweep_oracle_disagreements_exit_2(monkeypatch, capsys):
     assert captured.err.splitlines()[-1] == f"oracle disagreements: {len(records)}"
 
 
+def test_sweep_oracle_walks_in_the_pool():
+    # the real oracle in forked workers: it agrees with every verdict, and
+    # without its key each line is the stored sweep's
+    proc = run_cli(*TINY_SWEEP, "--oracle", "--jobs", "2")
+    assert proc.returncode == 1
+    assert "oracle disagreements" not in proc.stderr
+    header, *records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert records and all(rec["oracle"] == rec["status"] for rec in records)
+    for rec in records:
+        del rec["oracle"]
+    with open(TINY_SWEEP_OUT) as fh:
+        assert [json.dumps(rec) for rec in (header, *records)] == fh.read().splitlines()
+
+
 def test_theorem_sweep_with_an_error_report_exits_2(monkeypatch, capsys):
     # a sum with a pole at Phi_n: the check is an ERROR and says where
     from qcongruence import cli, congruence

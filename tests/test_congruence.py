@@ -1,6 +1,7 @@
 """Modulus profiles, case checkers, oracle agreement, enumeration."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import given, strategies as st
 
 import qcongruence
 from qcongruence import congruence, exactalg, hypergeom, qobjects
-from qcongruence.congruence import (_binomial_series, _fp_root, _term_changes, _walk_terms,
-                                    _zeta_order)
+from qcongruence.congruence import _binomial_series, _fp_root, _term_changes, _walk_terms
 from qcongruence.exactalg import _MR_BASES, INFINITE, Poly, RatFunc, cyclotomic
-from qcongruence.hypergeom import (InvalidCase, TheoremCase, Truncation, Variant, theorem_sum,
-                                   truncated_terms)
+from qcongruence.hypergeom import (InvalidCase, TheoremCase, Truncation, Variant,
+                                   _multisum_terms, draw_andrews_params, sample_until_valid,
+                                   theorem_sum, truncated_terms)
 from qcongruence.qobjects import QProduct, qsum, rising_factorial
 from qcongruence.congruence import (
     CONJECTURE_R,
@@ -514,9 +515,10 @@ def _series_inverse(f, p):
 
 def reference_walk(terms, m, need, zeta, p):
     """(low, s) of ``_walk_terms`` from scratch: each live term is the plain
-    product of its truncated binomial series, with no carry and no log."""
+    product of its truncated binomial series, with no carry and no log, and
+    its order counts the factors (q^a - 1) with m | a, zeta having order m."""
     live = [t for t in terms if not t.is_zero]
-    orders = [_zeta_order(t.factors, m) for t in live]
+    orders = [sum(e for a, e in t.factors.items() if a % m == 0) for t in live]
     low = min(orders, default=need)
     prec = need - low
     if prec <= 0:
@@ -525,7 +527,7 @@ def reference_walk(terms, m, need, zeta, p):
     for t, v in zip(live, orders):
         unit = [1] + [0] * (prec - 1)
         for a, e in {**t.factors, 0: t.qexp}.items():
-            f = _binomial_series(a, m, zeta, pow(zeta, -1, p), p, prec,
+            f = _binomial_series(a, pow(zeta, a, p), zeta, pow(zeta, -1, p), p, prec,
                                  [0] + [pow(j, -1, p) for j in range(1, prec + 1)])
             f, k = (f if e > 0 else _series_inverse(f, p)), abs(e)
             while k:                    # unit * f**k by squaring
@@ -550,10 +552,30 @@ def test_walk_terms_matches_plain_products():
             mod = q_integer_modulus(c.n, (2 if c.variant is Variant.THM1 else 1) + extra)
             for m, need in mod.parts.items():
                 p, zeta = _fp_root(m)
-                low, series = _walk_terms(steps, m, need, zeta, p)
+                low, series = _walk_terms(steps, zeta, need, p)
                 assert (low, [s % p for s in series]) == reference_walk(terms, m, need, zeta, p)
                 precisions.add(need - low)
     assert {1, 2, 3, 4} <= precisions
+
+
+def test_walk_terms_at_a_point_that_is_no_root():
+    # away from every root of the factors no term vanishes: the walk at
+    # precision 1 is the exact value of the sum at that point, mod p
+    p = 2 ** 61 - 1
+    rng = random.Random(20261020)
+    params, andrews, _ = sample_until_valid(
+        rng, lambda rg: draw_andrews_params(rg, 3, n_max=4),
+        lambda pp: list(_multisum_terms(pp.a, pp.pairs, pp.N, 1)))
+    assert params.N > 0 and len(andrews) > 1
+    for terms in (truncated_terms(5, 1, 7), truncated_terms(7, -3, 9),
+                  truncated_terms(9, 5, 6), andrews):
+        point = rng.randrange(2, p)
+        assert all(pow(point, a, p) != 1 for t in terms for a in t.factors)
+        exact = sum((t.evaluate(point) for t in terms), Fraction(0))
+        assert exact.denominator % p
+        low, series = _walk_terms(_term_changes(terms), point, 1, p)
+        assert (low, [c % p for c in series]) == \
+            (0, [exact.numerator * pow(exact.denominator, -1, p) % p])
 
 
 def _criterion_8_grid():
