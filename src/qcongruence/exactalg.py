@@ -393,9 +393,9 @@ class RatFunc:
     """Canonical fraction num/den of two integer polynomials in q.
 
     The constructor is the one place that reduces: ``+`` hands it the
-    combined fraction, or none when one side is a polynomial, and ``*`` the
-    two cross pairs (num1/den2, num2/den1), whose product is then canonical;
-    as the canonical form is unique, nothing is reduced anywhere else."""
+    combined fraction, and ``*`` the two cross pairs (num1/den2, num2/den1),
+    whose product is then canonical; as the canonical form is unique,
+    nothing is reduced anywhere else."""
 
     __slots__ = ("num", "den")
 
@@ -449,11 +449,7 @@ class RatFunc:
         return RatFunc._from_canonical(-self.num, self.den)
 
     def __add__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
-        # with y a polynomial, x.num + y*x.den is prime to x.den, contents included
         other = _as_ratfunc(other)
-        x, y = (other, self) if self.is_poly else (self, other)
-        if y.is_poly:
-            return RatFunc._from_canonical(x.num + y.num * x.den, x.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -513,7 +509,7 @@ def _as_ratfunc(x: Union[RatFunc, "FactoredFraction", Poly, int]) -> RatFunc:
         return x
     if isinstance(x, FactoredFraction):
         return x.to_ratfunc()
-    return RatFunc._from_canonical(_as_poly(x), ONE)
+    return RatFunc(_as_poly(x))
 
 
 ratfunc_normalize = RatFunc
