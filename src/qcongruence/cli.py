@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from .exactalg import INFINITE, ValuationReport
@@ -310,6 +309,8 @@ def cmd_sweep(args) -> int:
 
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here, so only a run that starts workers loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         # the pool starts all its workers at the first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             try:

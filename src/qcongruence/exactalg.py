@@ -33,8 +33,10 @@ Conventions used everywhere in this package:
   |coefficient| < 2**(B - 1); its caller picks B from the 1-norm bound
   ||prod (q**a - 1)**e[a]||_1 <= 2**sum(e.values()).
 * Values are immutable after construction and may be shared freely between
-  threads.  The only shared state is the memo table behind ``cyclotomic``
-  and ``q_integer``; inserts are idempotent, so concurrent reads are safe.
+  threads.  The only shared state is five memo tables: ``divisors``,
+  ``cyclotomic`` and ``q_integer`` here, ``congruence._fp_root`` and
+  ``cli.build_parser``.  Each insert is idempotent (recomputing a key gives
+  an equivalent value), so concurrent reads are safe.
 """
 
 from __future__ import annotations

@@ -638,7 +638,7 @@ def test_sweep_pool_never_exceeds_the_case_count(monkeypatch, capsys):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     with open(TINY_SWEEP_OUT) as fh:
         want = fh.read()
     cases = len(want.splitlines()) - 1
@@ -646,6 +646,40 @@ def test_sweep_pool_never_exceeds_the_case_count(monkeypatch, capsys):
         assert cli.main([*TINY_SWEEP, "--jobs", str(jobs)]) == 1
         assert capsys.readouterr().out == want
     assert sizes == [2, cases]
+
+
+# runs in one fresh interpreter; prints, per step, the exit codes and
+# whether the process pool's modules are loaded
+POOL_IMPORT_SCRIPT = """
+import contextlib, io, json, sys
+from qcongruence import cli
+
+def loaded():
+    return [name in sys.modules
+            for name in ("multiprocessing", "concurrent.futures.process")]
+
+sweep = ["sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9"]
+steps = []
+for group in ([["verify", "thm1", "--d", "5", "--r", "1", "--n", "9"],
+               ["identity", "gasper-km", "--trials", "1", "--seed", "3"],
+               [*sweep, "--jobs", "1"]],
+              [[*sweep, "--jobs", "2"]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in group]
+    steps.append([codes, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_only_a_parallel_sweep_loads_the_process_pool():
+    # verify, identity and a serial sweep never start workers, so they must
+    # not pay for importing multiprocessing; a parallel sweep does
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[[1, 0, 1], [False, False]],
+                                       [[1], [True, True]]]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
