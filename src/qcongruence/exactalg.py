@@ -17,11 +17,10 @@ Conventions used everywhere in this package:
   of a sum is at least the least valuation of its terms.  Cyclotomic
   valuations are read off it without reducing: whole q**m - 1 factors are
   counted first, from the numerator's Taylor coefficients at q**m = 1,
-  starting at the floor (the least floor over d | m).  ``+``, ``-`` and
-  ``*`` with a Poly, an int or another FactoredFraction keep it factored,
-  with no general polynomial gcd and no floor; ``==`` and ``to_ratfunc``
-  build the canonical form from the same valuation counts, by (q**d - 1)
-  steps alone: shifts and subtractions, and exact divisions by prefix sums.
+  starting at the floor (the least floor over d | m).  ``==`` and
+  ``to_ratfunc`` build the canonical form from the same valuation counts,
+  with no general polynomial gcd, by (q**d - 1) steps alone: shifts and
+  subtractions, and exact divisions by prefix sums.
 * A valuation is an int, or ``INFINITE`` (``math.inf``) for the zero
   function: it compares above every int, equals itself and is never an int.
 * Inside the summation kernel a polynomial P is packed into one int, P(2**B)
@@ -733,9 +732,9 @@ class FactoredFraction:
 
     ``_floor`` maps d to a proven lower bound on the numerator's Phi_d
     multiplicity (an index it leaves out has bound 0).  It is trusted,
-    never checked, so only ``qsum`` sets it, through ``_with_floor``; every
-    other fraction, the results of ``+``, ``-`` and ``*`` among them, has
-    none.  ``qsum`` takes it from its terms: a term
+    never checked, so only ``qsum`` sets it, through ``_with_floor``; a
+    fraction built by the constructor has none.  ``qsum`` takes it from its
+    terms: a term
     sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
     sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
     when d | a; and the valuation of a sum is at least the least
@@ -744,12 +743,11 @@ class FactoredFraction:
     of whole q**m - 1 factors (``binomial_floor``), and the count starts
     there.
 
-    ``+``, ``-`` and ``*`` with a Poly, an int or another FactoredFraction
-    stay factored: a sum goes over the larger multiplicity of each factor
-    and the larger q-shift, a product adds both.  ``to_ratfunc`` reduces
-    to the canonical RatFunc by the same counts: it cancels each Phi_c as
-    often as both numerator and denominator hold it, by binomial steps.
-    ``==`` and arithmetic with a RatFunc go through it.
+    ``qsum`` is the one place that puts terms over a common factored
+    denominator; a fraction has no arithmetic of its own.  ``to_ratfunc``
+    reduces to the canonical RatFunc by the same counts: it cancels each
+    Phi_c as often as both numerator and denominator hold it, by binomial
+    steps.  ``==`` and arithmetic with a RatFunc go through it.
     """
 
     __slots__ = ("num", "factors", "qshift", "_floor")
@@ -822,48 +820,6 @@ class FactoredFraction:
             # a zero of the unreduced denominator may cancel
             return self.to_ratfunc().evaluate(t)
         return self.num.evaluate(t) / den
-
-    def _over(self, factors: dict[int, int], qshift: int) -> Poly:
-        """The numerator rewritten over q**qshift * prod (q**a - 1)**factors[a],
-        a denominator that this one divides."""
-        cofactor = {a: m - self.factors.get(a, 0) for a, m in factors.items()
-                    if m > self.factors.get(a, 0)}
-        return Poly(_binomial_steps(self.num.coeffs, cofactor)).shifted(qshift - self.qshift)
-
-    def __add__(self, other) -> Union["FactoredFraction", RatFunc]:
-        if isinstance(other, (Poly, int)):
-            other = FactoredFraction(_as_poly(other), {}, 0)
-        if not isinstance(other, FactoredFraction):
-            return self.to_ratfunc() + other
-        factors = dict(self.factors)
-        for a, m in other.factors.items():
-            factors[a] = max(factors.get(a, 0), m)
-        qshift = max(self.qshift, other.qshift)
-        num = self._over(factors, qshift) + other._over(factors, qshift)
-        return FactoredFraction(num, factors, qshift)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "FactoredFraction":
-        return FactoredFraction(-self.num, self.factors, self.qshift)
-
-    def __sub__(self, other) -> Union["FactoredFraction", RatFunc]:
-        return self + (-other)
-
-    def __rsub__(self, other) -> Union["FactoredFraction", RatFunc]:
-        return -self + other
-
-    def __mul__(self, other) -> Union["FactoredFraction", RatFunc]:
-        if isinstance(other, (Poly, int)):
-            other = FactoredFraction(_as_poly(other), {}, 0)
-        if not isinstance(other, FactoredFraction):
-            return self.to_ratfunc() * other
-        factors = dict(self.factors)
-        for a, m in other.factors.items():
-            factors[a] = factors.get(a, 0) + m
-        return FactoredFraction(self.num * other.num, factors, self.qshift + other.qshift)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (FactoredFraction, RatFunc, Poly, int)):

@@ -3,9 +3,9 @@
 All series parameters are integer exponents of q (a = q**alpha and so on),
 so every value is a rational function in q.  The evaluators return the
 unreduced ``FactoredFraction`` that ``qsum`` builds: valuations and zero
-tests read it directly, sums and products of such values stay unreduced,
-and only ``==`` or ``to_ratfunc`` reduce it, to a ``RatFunc``, which
-reduces only in its constructor.
+tests read it directly, and only ``==`` or ``to_ratfunc`` reduce it, to a
+``RatFunc``, which reduces only in its constructor.  A sum or difference
+of such values is one ``qsum`` over both term lists.
 Very-well-poised parameter pairs (q*sqrt(a), -q*sqrt(a)) / (sqrt(a),
 -sqrt(a)) are never split into square roots: the paired quotient collapses
 to (1 - a*q**(2k)) / (1 - a), which keeps all exponents integral.

@@ -303,13 +303,13 @@ def test_criterion_6_proof_decomposition():
     failures = []
     case1 = validate_case(5, 1, 9, Variant.THM1, Truncation.UPPER)
     pre, multi = proof_decomposition(case1)
-    if pre * multi != theorem_sum(case1):
+    if pre.to_ratfunc() * multi.to_ratfunc() != theorem_sum(case1):
         failures.append("thm1 product mismatch")
     if not (phi_valuation(pre, 9) >= 1 and phi_valuation(multi, 9) >= 2):
         failures.append(("thm1 split", phi_valuation(pre, 9), phi_valuation(multi, 9)))
     case2 = validate_case(5, 1, 7, Variant.THM2, Truncation.UPPER)
     pre2, multi2 = proof_decomposition(case2)
-    if pre2 * multi2 != theorem_sum(case2):
+    if pre2.to_ratfunc() * multi2.to_ratfunc() != theorem_sum(case2):
         failures.append("thm2 product mismatch")
     if not phi_valuation(pre2, 7) >= 2:
         failures.append(("thm2 prefactor", phi_valuation(pre2, 7)))

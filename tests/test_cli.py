@@ -531,24 +531,27 @@ def test_identity_nonpositive_trials_is_usage_error(trials):
     assert proc.stdout == ""
 
 
-def test_sweep_tiny_matches_stored_bytes():
-    expected = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "bench", "expected", "sweep_tiny.out")
-    with open(expected, "rb") as fh:
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "expected")
+with open(os.path.join(EXPECTED, "sweep.json")) as fh:
+    STORED_SWEEPS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", ["tiny", "full"])
+def test_sweep_matches_stored_bytes(name):
+    sweep = STORED_SWEEPS[name]
+    with open(os.path.join(EXPECTED, sweep["stdout"]), "rb") as fh:
         want = fh.read()
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-m", "qcongruence", "sweep", "--theorem", "thm1",
-         "--d-max", "5", "--n-max", "9"],
+        [sys.executable, "-m", "qcongruence", *sweep["argv"]],
         capture_output=True, env=env,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == sweep["exit"]
     assert proc.stdout == want
 
 
 TINY_SWEEP = ("sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9")
-TINY_SWEEP_OUT = os.path.join(os.path.dirname(__file__), os.pardir,
-                              "bench", "expected", "sweep_tiny.out")
+TINY_SWEEP_OUT = os.path.join(EXPECTED, "sweep_tiny.out")
 
 
 def test_sweep_writes_each_record_when_done(monkeypatch, tmp_path):

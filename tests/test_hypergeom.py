@@ -10,7 +10,7 @@ import pytest
 from qcongruence.exactalg import (
     Poly, RatFunc, _expand_factors, divisors, phi_valuation, q_integer,
 )
-from qcongruence.qobjects import QPochSpec, q_poch_product
+from qcongruence.qobjects import QPochSpec, q_poch_product, qsum
 from qcongruence.hypergeom import (
     AndrewsParams,
     InvalidCase,
@@ -30,6 +30,7 @@ from qcongruence.hypergeom import (
     theorem_sum,
     theorem_term,
     truncated_sum,
+    truncated_terms,
     watson_pair,
 )
 from qcongruence.hypergeom import _case_violations, _solved_index, _vwp_series
@@ -393,7 +394,6 @@ def test_multi_km_theorem_specialization():
     # d=5, r=1, n=9: a = q^r, e_1 = q^((d+r)/2), e_i = q^(r-(m+i-2)n),
     # n_1 = (dn-d+n+r)/(2d), n_i = (n+r-d)/d, n_m = 0, N = (dn-n-r)/d
     from qcongruence.hypergeom import _multisum_terms
-    from qcongruence.qobjects import qsum
     d, r, n, m = 5, 1, 9, 3
     eps = [(d + r) // 2] + [r - (m + i - 2) * n for i in range(2, m)] + [r - (2 * m - 2) * n]
     shifts = [(d * n - d + n + r) // (2 * d)] + [(n + r - d) // d] * (m - 2) + [0]
@@ -413,7 +413,7 @@ def test_multi_km_theorem_specialization():
 def test_decomposition_reconstructs_sum_thm1():
     case = TheoremCase(5, 1, 9, Variant.THM1, Truncation.UPPER)
     pre, multi = proof_decomposition(case)
-    assert pre * multi == theorem_sum(case)
+    assert pre.to_ratfunc() * multi.to_ratfunc() == theorem_sum(case)
     assert phi_valuation(pre, 9) >= 1
     assert phi_valuation(multi, 9) >= 2
 
@@ -421,14 +421,14 @@ def test_decomposition_reconstructs_sum_thm1():
 def test_decomposition_reconstructs_sum_thm2():
     case = TheoremCase(5, 1, 7, Variant.THM2, Truncation.UPPER)
     pre, multi = proof_decomposition(case)
-    assert pre * multi == theorem_sum(case)
+    assert pre.to_ratfunc() * multi.to_ratfunc() == theorem_sum(case)
     assert phi_valuation(pre, 7) >= 2
 
 
 def test_decomposition_negative_r():
     case = TheoremCase(5, -1, 6, Variant.THM1, Truncation.UPPER)
     pre, multi = proof_decomposition(case)
-    assert pre * multi == theorem_sum(case)
+    assert pre.to_ratfunc() * multi.to_ratfunc() == theorem_sum(case)
 
 
 def test_decomposition_requires_upper():
@@ -441,7 +441,7 @@ def test_decomposition_depth_four():
     # d = 7 exercises a three-fold transformed sum (364 compositions)
     case = TheoremCase(7, 3, 9, Variant.THM2, Truncation.UPPER)
     pre, multi = proof_decomposition(case)
-    assert pre * multi == theorem_sum(case)
+    assert pre.to_ratfunc() * multi.to_ratfunc() == theorem_sum(case)
     assert phi_valuation(pre, 9) >= 2
 
 
@@ -481,8 +481,13 @@ def test_tail_terms_valuation_at_least_d():
 
 
 def test_full_minus_upper_valuation():
+    # one qsum over the full case's terms and the upper case's negated
     for (d, r, n) in [(5, 1, 4), (5, 1, 9), (5, -1, 6)]:
-        full = theorem_sum(TheoremCase(d, r, n, Variant.THM1, Truncation.FULL))
-        upper = theorem_sum(TheoremCase(d, r, n, Variant.THM1, Truncation.UPPER))
-        diff = full - upper
+        full = TheoremCase(d, r, n, Variant.THM1, Truncation.FULL).upper_bound
+        upper = TheoremCase(d, r, n, Variant.THM1, Truncation.UPPER).upper_bound
+        negated = truncated_terms(d, r, upper)
+        for t in negated:
+            t.sign = -t.sign
+        diff = qsum(truncated_terms(d, r, full) + negated)
+        assert diff == qsum(truncated_terms(d, r, full)[upper + 1:]), (d, r, n)
         assert phi_valuation(diff, n) >= d, (d, r, n)
