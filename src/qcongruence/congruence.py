@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import accumulate
 from typing import Sequence, Union
@@ -94,15 +94,15 @@ Lemma3Truncation = Truncation
 validate_case = TheoremCase
 
 
-@dataclass(frozen=True)
-class Modulus:
+class Modulus(namedtuple("Modulus", "parts")):
     """Required minimum valuations, keyed by cyclotomic index."""
 
-    parts: dict[int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(v < 1 for v in self.parts.values()):
+    def __new__(cls, parts: dict[int, int]) -> "Modulus":
+        if any(v < 1 for v in parts.values()):
             raise ValueError("all requirements must be >= 1")
+        return super().__new__(cls, parts)
 
     def polynomial(self) -> Poly:
         """The modulus as an explicit polynomial (product of Phi powers),
@@ -128,18 +128,17 @@ def phi_modulus(n: int, power: int) -> Modulus:
     return Modulus({n: power})
 
 
-@dataclass
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "description modulus valuations status "
+                             "term_count detail oracle_status", defaults=(0, None, None))):
     """Outcome of one congruence check: PASS iff every required valuation
-    was achieved and no error occurred."""
+    was achieved and no error occurred.
 
-    description: str
-    modulus: Modulus
-    valuations: ValuationReport
-    status: CheckStatus
-    term_count: int = 0
-    detail: str | None = None
-    oracle_status: CheckStatus | None = None
+    Fields: description, modulus (a Modulus), valuations (a
+    ValuationReport), status (a CheckStatus), term_count, detail (a
+    message, or None) and oracle_status (a CheckStatus, or None when the
+    oracle did not run)."""
+
+    __slots__ = ()
 
     @classmethod
     def verdict(cls, description: str, modulus: Modulus,
@@ -167,8 +166,9 @@ def check_congruence(
     report = CheckReport.verdict(description, mod, achieved, term_count)
     poles = [m for m, v in achieved.items() if v < 0]
     if poles:
-        report.status = CheckStatus.ERROR
-        report.detail = f"denominator not invertible at cyclotomic index {poles[-1]}"
+        report = report._replace(
+            status=CheckStatus.ERROR,
+            detail=f"denominator not invertible at cyclotomic index {poles[-1]}")
     return report
 
 
@@ -180,7 +180,9 @@ def check_sum(total: FactoredFraction, shape: tuple[int, int, int],
     same sum's terms, ``truncated_terms(*shape)``, at a root of unity in F_p."""
     report = check_congruence(total, mod, description, shape[2] + 1)
     if oracle:
-        report.oracle_status = oracle_check(truncated_terms(*shape), mod)
+        # built anew, not by _replace: each _replace call leaves one spare
+        # 7-tuple in CPython's tuple free list, up to 2000 of them
+        report = CheckReport(*report[:-1], oracle_check(truncated_terms(*shape), mod))
     return report
 
 

@@ -42,11 +42,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence, Union
+
+# fractions is imported only inside the functions that build a Fraction; no
+# command calls them, so no command process loads it
 
 __all__ = [
     "ExactDivisionError",
@@ -490,6 +492,7 @@ class RatFunc:
 
     def evaluate(self, t) -> Fraction:
         """Exact value at q = t; raises ZeroDivisionError on a pole."""
+        from fractions import Fraction
         dv = self.den.evaluate(Fraction(t))
         if dv == 0:
             raise ZeroDivisionError(f"denominator vanishes at q = {t}")
@@ -738,10 +741,9 @@ class FactoredFraction:
     sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
     sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
     when d | a; and the valuation of a sum is at least the least
-    valuation of its terms.  q**m - 1 is the product of the Phi_d, d | m,
-    each once, so the numerator holds at least the least floor over d | m
-    of whole q**m - 1 factors (``binomial_floor``), and the count starts
-    there.
+    valuation of its terms.  Such a floor never falls from d to a multiple
+    of d, so the numerator holds at least the floor at m of whole
+    q**m - 1 factors (``binomial_floor``), and the count starts there.
 
     ``qsum`` is the one place that puts terms over a common factored
     denominator; a fraction has no arithmetic of its own.  ``to_ratfunc``
@@ -762,7 +764,8 @@ class FactoredFraction:
     def _with_floor(cls, num: Poly, factors: dict[int, int], qshift: int,
                     floor: dict[int, int]) -> "FactoredFraction":
         """The fraction with the floor that ``qsum`` has proven from its
-        terms; nothing else sets one."""
+        terms, which never falls from d to a multiple of d; nothing else
+        sets one."""
         value = cls(num, factors, qshift)
         value._floor = floor
         return value
@@ -780,8 +783,12 @@ class FactoredFraction:
 
     def binomial_floor(self, m: int) -> int:
         """A proven lower bound on the number of q**m - 1 factors in the
-        numerator."""
-        return min(self._floor.get(d, 0) for d in divisors(m))
+        numerator: the floor at m.  q**m - 1 is the product of the Phi_d,
+        d | m, each once, so the bound is the least floor over d | m.  Every
+        (q**a - 1) that Phi_m divides is also divided by each Phi_d, d | m,
+        so each term's Phi_d count is at least its Phi_m count, and
+        ``_least_floor`` keeps that order: the least is the floor at m."""
+        return self._floor.get(m, 0)
 
     def valuation(self, m: int) -> Valuation:
         """Exponent of Phi_m in the value; INFINITE for zero."""
@@ -812,6 +819,7 @@ class FactoredFraction:
 
     def evaluate(self, t) -> Fraction:
         """Exact value at q = t; raises ZeroDivisionError on a pole."""
+        from fractions import Fraction
         t = Fraction(t)
         den = t ** self.qshift
         for a, mult in self.factors.items():
@@ -867,10 +875,10 @@ def _is_prime(n: int) -> bool:
 
 
 def rational_p_valuation(x: Union[Fraction, int], p: int) -> Valuation:
-    """Standard p-adic valuation of an exact rational; INFINITE for x = 0."""
+    """Standard p-adic valuation of an exact rational (an int or a
+    Fraction: both have a numerator and a denominator); INFINITE for x = 0."""
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    x = Fraction(x)
     if x == 0:
         return INFINITE
 
@@ -884,16 +892,14 @@ def rational_p_valuation(x: Union[Fraction, int], p: int) -> Valuation:
     return vp(x.numerator) - vp(x.denominator)
 
 
-@dataclass
-class ValuationReport:
-    """Achieved vs required cyclotomic valuations for one congruence check.
+class ValuationReport(namedtuple("ValuationReport", "achieved required passed")):
+    """Achieved vs required cyclotomic valuations for one congruence check,
+    as two dicts keyed by cyclotomic index.
 
     ``passed`` is true exactly when every required entry is met.
     """
 
-    achieved: dict[int, Valuation]
-    required: dict[int, int]
-    passed: bool
+    __slots__ = ()
 
     @classmethod
     def compare(cls, achieved: dict[int, Valuation], required: dict[int, int]) -> "ValuationReport":

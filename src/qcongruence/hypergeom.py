@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -128,8 +128,7 @@ def _solved_index(d: int, r: int, n: int) -> int:
     return (-r * pow(d, -1, n)) % n
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(namedtuple("TheoremCase", "d r n variant truncation")):
     """A validated (d, r, n) parameter tuple with its truncation choice.
 
     Hypotheses: d, r odd, d >= 5, r <= d - 4, gcd(d, r) = 1, and
@@ -139,16 +138,14 @@ class TheoremCase:
     invertible mod d because d is odd.
     """
 
-    d: int
-    r: int
-    n: int
-    variant: Variant
-    truncation: Truncation = Truncation.UPPER
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        bad = _case_violations(self.d, self.r, self.n, self.variant)
+    def __new__(cls, d: int, r: int, n: int, variant: Variant,
+                truncation: Truncation = Truncation.UPPER) -> "TheoremCase":
+        bad = _case_violations(d, r, n, variant)
         if bad:
             raise InvalidCase(bad)
+        return super().__new__(cls, d, r, n, variant, truncation)
 
     @property
     def upper_bound(self) -> int:
@@ -269,20 +266,18 @@ def _vwp_series(alpha: int, bc: Sequence[int], N: int, base: int = 1) -> Factore
 # the multiseries transformation
 
 
-@dataclass(frozen=True)
-class AndrewsParams:
+class AndrewsParams(namedtuple("AndrewsParams", "a pairs N")):
     """Parameters of the multiseries transformation: a = q**a_exp and the
     m >= 2 pairs (b_i, c_i) = (q**b, q**c), terminating at order N."""
 
-    a: int
-    pairs: tuple[tuple[int, int], ...]
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.pairs) < 2:
+    def __new__(cls, a: int, pairs: tuple[tuple[int, int], ...], N: int) -> "AndrewsParams":
+        if len(pairs) < 2:
             raise ValueError("at least two parameter pairs are required")
-        if self.N < 0:
+        if N < 0:
             raise ValueError("termination order must be non-negative")
+        return super().__new__(cls, a, pairs, N)
 
 
 def andrews_lhs(p: AndrewsParams) -> FactoredFraction:
@@ -362,33 +357,25 @@ def watson_pair(a: int, b: int, c: int, d: int, e: int,
 # Karlsson-Minton type summations
 
 
-@dataclass(frozen=True)
-class KarlssonMintonParams:
+class KarlssonMintonParams(namedtuple("KarlssonMintonParams", "a e nondeg N")):
     """Parameters of the very-well-poised Karlsson-Minton summation:
     a = q**a_exp, e_j = q**(e[j]), integer shifts nondeg[j] >= 0, and
-    termination order N.  The optional b / dd exponents of the full
-    two-extra-parameter form are accepted only at the terminating
-    specialisation dd = b + 1, b = -N (the non-terminating series is out
-    of scope)."""
+    termination order N.  Only the terminating form is summed: the full
+    form's two extra parameters are fixed there at b = q**-N and
+    d = q**(1 - N), so they are not fields (the non-terminating series is
+    out of scope)."""
 
-    a: int
-    e: tuple[int, ...]
-    nondeg: tuple[int, ...]
-    N: int
-    b: int | None = None
-    dd: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.e) != len(self.nondeg) or not self.e:
+    def __new__(cls, a: int, e: tuple[int, ...], nondeg: tuple[int, ...],
+                N: int) -> "KarlssonMintonParams":
+        if len(e) != len(nondeg) or not e:
             raise ValueError("e and nondeg must be non-empty and equally long")
-        if any(v < 0 for v in self.nondeg):
+        if any(v < 0 for v in nondeg):
             raise ValueError("shifts must be non-negative")
-        if self.N < 1:
+        if N < 1:
             raise ValueError("N must be a positive integer")
-        if self.b is not None and self.b != -self.N:
-            raise ValueError("only the terminating specialisation b = -N is supported")
-        if self.dd is not None and self.dd != 1 - self.N:
-            raise ValueError("only the terminating specialisation dd = 1 - N is supported")
+        return super().__new__(cls, a, e, nondeg, N)
 
     @property
     def nu(self) -> int:

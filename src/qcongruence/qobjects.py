@@ -27,9 +27,11 @@ numerator coefficient reaches 2**(B - 1); nothing sets it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from typing import Iterable, Sequence, Union
+
+# fractions is imported only inside the functions that build a Fraction; no
+# command calls them, so no command process loads it
 
 from .exactalg import (
     FactoredFraction,
@@ -57,20 +59,18 @@ class VanishingDenominator(ZeroDivisionError):
     """An identically-zero factor was raised to a negative power."""
 
 
-@dataclass(frozen=True)
-class QPochSpec:
+class QPochSpec(namedtuple("QPochSpec", "base_exponent step length")):
     """The q-shifted factorial (q**e; q**d)_k with e = base_exponent,
     d = step, k = length.  The base exponent may be negative."""
 
-    base_exponent: int
-    step: int
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.step < 1:
+    def __new__(cls, base_exponent: int, step: int, length: int) -> "QPochSpec":
+        if step < 1:
             raise ValueError("step must be a positive integer")
-        if self.length < 0:
+        if length < 0:
             raise ValueError("length must be non-negative")
+        return super().__new__(cls, base_exponent, step, length)
 
     def factor_exponents(self) -> range:
         return range(
@@ -154,6 +154,7 @@ class QProduct:
 
     def evaluate(self, t) -> Fraction:
         """Exact numeric value at q = t (for cross-checks)."""
+        from fractions import Fraction
         if self.is_zero:
             return Fraction(0)
         t = Fraction(t)
@@ -275,6 +276,7 @@ def q_poch_product(
 
 def rising_factorial(a: Union[Fraction, int], k: int) -> Fraction:
     """Classical rising factorial a (a+1) ... (a+k-1) over exact rationals."""
+    from fractions import Fraction
     if k < 0:
         raise ValueError("length must be non-negative")
     out = Fraction(1)

@@ -659,12 +659,15 @@ from qcongruence import cli
 
 def loaded():
     return [name in sys.modules
-            for name in ("multiprocessing", "concurrent.futures.process")]
+            for name in ("multiprocessing", "concurrent.futures.process",
+                         "dataclasses", "inspect", "fractions", "decimal")]
 
 sweep = ["sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9"]
-steps = []
+steps = [[[], loaded()]]
 for group in ([["verify", "thm1", "--d", "5", "--r", "1", "--n", "9"],
+               ["verify", "vanhamme", "--p", "13"],
                ["identity", "gasper-km", "--trials", "1", "--seed", "3"],
+               ["identity", "andrews", "--trials", "1"],
                [*sweep, "--jobs", "1"]],
               [[*sweep, "--jobs", "2"]]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -676,13 +679,16 @@ print(json.dumps(steps))
 
 def test_only_a_parallel_sweep_loads_the_process_pool():
     # verify, identity and a serial sweep never start workers, so they must
-    # not pay for importing multiprocessing; a parallel sweep does
+    # not pay for importing multiprocessing; a parallel sweep does.  No
+    # command needs dataclasses or fractions (nor what they import) at all
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[[1, 0, 1], [False, False]],
-                                       [[1], [True, True]]]
+    unused = [False] * 4
+    assert json.loads(proc.stdout) == [[[], [False, False, *unused]],
+                                       [[1, 0, 0, 0, 1], [False, False, *unused]],
+                                       [[1], [True, True, *unused]]]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -539,16 +539,21 @@ def test_binomial_steps_reject_a_non_multiple(h, d, k, data):
 
 @st.composite
 def factored_fractions(draw):
-    """num / (q^s prod (q^a - 1)^m) with num = g prod Phi_c^j[c]; half the
-    time it carries j as its floor, which num provably holds."""
+    """num / (q^s prod (q^a - 1)^m) with num = g prod Phi_c^j[c] prod
+    (q^b - 1)^k[b]; half the time it carries as its floor the Phi_d counts
+    of those binomials, which num provably holds and which, like every
+    floor that qsum proves, never fall from d to a multiple of d."""
     g = draw(nonzero_polys)
     j = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 3), max_size=3))
+    k = draw(st.dictionaries(st.integers(1, 12), st.integers(0, 2), max_size=2))
     factors = draw(st.dictionaries(st.integers(1, 12), st.integers(1, 3),
                                    min_size=1, max_size=3))
     num = g
     for c, v in j.items():
         num = num * cyclotomic(c) ** v
-    floor = nonzero(j) if draw(st.booleans()) else {}
+    for b, v in k.items():
+        num = num * binomial(b) ** v
+    floor = _phi_exponents(k) if draw(st.booleans()) else {}
     return FactoredFraction._with_floor(num, factors, draw(st.integers(0, 3)), floor)
 
 

@@ -344,13 +344,6 @@ def test_gasper_boundary_rejected():
         gasper_terminating_sum(p)
 
 
-def test_gasper_full_form_fields():
-    p = KarlssonMintonParams(a=4, e=(2,), nondeg=(0,), N=2, b=-2, dd=-1)
-    assert gasper_terminating_sum(p).is_zero
-    with pytest.raises(ValueError):
-        KarlssonMintonParams(a=4, e=(2,), nondeg=(0,), N=2, b=1)
-
-
 def test_gasper_randomized():
     rng = random.Random(512)
     for m in (1, 2):

@@ -1,6 +1,7 @@
 """q-shifted factorials, factored products, and the summation kernel."""
 
 import operator
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, strategies as st
 from qcongruence import exactalg
 from qcongruence.exactalg import ONE, Poly, RatFunc, _expand_factors, poly_gcd
 from qcongruence.exactalg import INFINITE, phi_valuation
-from qcongruence.exactalg import _binomial_count, _poly_phi_valuation
+from qcongruence.exactalg import _binomial_count, _poly_phi_valuation, divisors
 from qcongruence.congruence import enumerate_cases
 from qcongruence.qobjects import (
     QPochSpec,
@@ -21,7 +22,21 @@ from qcongruence.qobjects import (
     qsum,
     rising_factorial,
 )
-from qcongruence.hypergeom import Variant, theorem_sum, truncated_sum, truncated_terms
+from qcongruence.hypergeom import (
+    Variant,
+    andrews_lhs,
+    andrews_rhs,
+    draw_andrews_params,
+    draw_km_params,
+    draw_watson_exponents,
+    gasper_terminating_sum,
+    multi_km_sum,
+    sample_until_valid,
+    theorem_sum,
+    truncated_sum,
+    truncated_terms,
+    watson_pair,
+)
 
 
 def expand(*binomials):
@@ -393,6 +408,31 @@ def test_theorem_counts_from_the_floor_match_counts_from_zero():
                     assert got == _binomial_count(value.num.coeffs, m, 0), (case, m)
                     at_floor += got[0] == floor
     assert at_floor > 300
+
+
+# per identity evaluator: a draw, and the sums it builds from the draw
+IDENTITY_SUMS = [
+    (lambda rg: draw_andrews_params(rg, 3), lambda p: [andrews_lhs(p), andrews_rhs(p)]),
+    (draw_watson_exponents, lambda t: list(watson_pair(*t))),
+    (lambda rg: draw_km_params(rg, 2), lambda p: [gasper_terminating_sum(p)]),
+    (lambda rg: draw_km_params(rg, 2), lambda p: [multi_km_sum(p)]),
+]
+
+
+def test_floor_never_falls_from_a_divisor_to_a_multiple():
+    # binomial_floor(m) reads the floor at m alone, which is the least
+    # floor over the divisors of m only while no divisor's floor is below it
+    sums = [theorem_sum(case) for variant in Variant
+            for case in enumerate_cases(variant, 7, 20, (-7, 7))]
+    rng = random.Random(2718)
+    for draw, build in IDENTITY_SUMS:
+        for _ in range(20):
+            sums += sample_until_valid(rng, draw, build)[1]
+    assert sum(bool(value._floor) for value in sums) > 150
+    for value in sums:
+        for m, v in value._floor.items():
+            for d in divisors(m):
+                assert value._floor.get(d, 0) >= v, (value, d, m)
 
 
 def test_count_from_a_floor_finishes_by_division():
