@@ -28,8 +28,6 @@ from .exactalg import (
     RatFunc,
     ValuationReport,
     Valuation,
-    _binomial_exponents,
-    _binomial_steps,
     _is_prime,
     cyclotomic,
     divisors,
@@ -103,15 +101,6 @@ class Modulus(namedtuple("Modulus", "parts")):
         if any(v < 1 for v in parts.values()):
             raise ValueError("all requirements must be >= 1")
         return super().__new__(cls, parts)
-
-    def polynomial(self) -> Poly:
-        """The modulus as an explicit polynomial (product of Phi powers),
-        by the binomial steps that ``cyclotomic`` takes."""
-        return Poly(_binomial_steps([1], _binomial_exponents(self.parts)))
-
-    def describe(self) -> str:
-        return " * ".join(f"Phi_{m}^{k}" if k > 1 else f"Phi_{m}"
-                          for m, k in sorted(self.parts.items()))
 
 
 def q_integer_modulus(n: int, phi_power: int = 0) -> Modulus:
@@ -233,8 +222,8 @@ def check_lemma3(d: int, r: int, n: int,
                  oracle: bool = False) -> CheckReport:
     """Check the truncated sum against the bare [n] profile.
 
-    The solved truncation is lemma 3's m (``hypergeom._solved_index``);
-    the alternative is the full range n-1.
+    The solved truncation is lemma 3's m (``Truncation.order``); the
+    alternative is the full range n-1.
     """
     bad = []
     if d < 1:
@@ -247,7 +236,7 @@ def check_lemma3(d: int, r: int, n: int,
         bad.append("d(d - r - 2) must be even for an integral q-power")
     if bad:
         raise InvalidCase(bad)
-    upper = _solved_index(d, r, n) if truncation is Truncation.M_SOLVED else n - 1
+    upper = truncation.order(d, r, n)
     mod = q_integer_modulus(n, 0) if n > 1 else Modulus({})
     return check_sum(truncated_sum(d, r, upper), (d, r, upper), mod,
                      f"lemma3(d={d}, r={r}, n={n}, m={upper})", oracle)

@@ -32,10 +32,10 @@ Conventions used everywhere in this package:
   |coefficient| < 2**(B - 1); its caller picks B from the 1-norm bound
   ||prod (q**a - 1)**e[a]||_1 <= 2**sum(e.values()).
 * Values are immutable after construction and may be shared freely between
-  threads.  The only shared state is five memo tables: ``divisors``,
-  ``cyclotomic`` and ``q_integer`` here, ``congruence._fp_root`` and
-  ``cli.build_parser``.  Each insert is idempotent (recomputing a key gives
-  an equivalent value), so concurrent reads are safe.
+  threads.  The only shared state is four memo tables: ``divisors`` and
+  ``cyclotomic`` here, ``congruence._fp_root`` and ``cli.build_parser``.
+  Each insert is idempotent (recomputing a key gives an equivalent value),
+  so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -139,9 +139,6 @@ class Poly:
 
     def __sub__(self, other: Union["Poly", int]) -> "Poly":
         return self + (-other) if isinstance(other, (Poly, int)) else NotImplemented
-
-    def __rsub__(self, other: Union["Poly", int]) -> "Poly":
-        return -self + other
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
         if isinstance(other, int):
@@ -250,29 +247,7 @@ class Poly:
         return q
 
     def __repr__(self) -> str:
-        return f"Poly({self})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return f"Poly({self.coeffs})"
 
 
 ZERO = Poly()
@@ -380,7 +355,6 @@ def cyclotomic(n: int) -> Poly:
     return Poly(_binomial_steps([1], _binomial_exponents({n: 1})))
 
 
-@lru_cache(maxsize=None)
 def q_integer(n: int) -> Poly:
     """[n] = 1 + q + ... + q**(n-1); [0] = 0."""
     if n < 0:
@@ -431,10 +405,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_poly(self) -> bool:
-        return self.den == ONE
-
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
@@ -484,9 +454,6 @@ class RatFunc:
     def __truediv__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
         return self * _as_ratfunc(other).inverse()
 
-    def __rtruediv__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
-        return _as_ratfunc(other) * self.inverse()
-
     def __pow__(self, n: int) -> "RatFunc":
         return _power(self if n >= 0 else self.inverse(), abs(n), RATFUNC_ONE)
 
@@ -499,9 +466,7 @@ class RatFunc:
         return Fraction(self.num.evaluate(Fraction(t))) / dv
 
     def __repr__(self) -> str:
-        if self.is_poly:
-            return f"RatFunc({self.num})"
-        return f"RatFunc(({self.num}) / ({self.den}))"
+        return f"RatFunc({self.num!r}, {self.den!r})"
 
 
 RATFUNC_ZERO = RatFunc._from_canonical(ZERO, ONE)
@@ -627,8 +592,12 @@ def _binomial_count(cs: tuple[int, ...], m: int, floor: int) -> tuple[int, list[
 
 def _slot_bits(bound_bits: int) -> int:
     """The slot width B for coefficients below 2**bound_bits in absolute
-    value: a sign bit and a spare bit on top, rounded up to whole bytes."""
-    return -(-(bound_bits + 2) // 8) * 8
+    value: a sign bit on top, rounded up to whole bytes.  ``_unpack`` needs
+    only |c| < 2**(B - 1), and both callers' bounds are strict: ``qsum``'s
+    n * 2**E < 2**(E + n.bit_length()), and ``_expand_factors``' 1-norm
+    2**sum(mult), as a product of (q**a - 1) factors has two non-zero
+    coefficients (the empty one is 1, and B >= 8)."""
+    return -(-(bound_bits + 1) // 8) * 8
 
 
 def _mul_packed(x: int, factors: dict[int, int], B: int) -> int:
@@ -646,7 +615,9 @@ def _unpack(x: int, B: int) -> list[int]:
     2**(B - 1) in absolute value, with no trailing zeros.
 
     Adding 2**(B - 1) to every slot makes each digit non-negative, so one
-    ``to_bytes`` cuts them all out at once."""
+    ``to_bytes`` cuts them all out at once.  With t the top non-zero slot,
+    2**(B*t - 1) < |x| < 2**(B*(t + 1) - 1), as every digit is below
+    2**(B - 1): so n = t + 1 slots are cut, and the last one is not zero."""
     if not x:
         return []
     w = B // 8
@@ -654,10 +625,7 @@ def _unpack(x: int, B: int) -> list[int]:
     half = 1 << (B - 1)
     offset = int.from_bytes(half.to_bytes(w, "little") * n, "little")
     data = (x + offset).to_bytes(n * w, "little")
-    cs = [int.from_bytes(data[i:i + w], "little") - half for i in range(0, n * w, w)]
-    while not cs[-1]:
-        cs.pop()
-    return cs
+    return [int.from_bytes(data[i:i + w], "little") - half for i in range(0, n * w, w)]
 
 
 def _expand_factors(factors: dict[int, int]) -> list[int]:
@@ -819,15 +787,7 @@ class FactoredFraction:
 
     def evaluate(self, t) -> Fraction:
         """Exact value at q = t; raises ZeroDivisionError on a pole."""
-        from fractions import Fraction
-        t = Fraction(t)
-        den = t ** self.qshift
-        for a, mult in self.factors.items():
-            den *= (t ** a - 1) ** mult
-        if den == 0:
-            # a zero of the unreduced denominator may cancel
-            return self.to_ratfunc().evaluate(t)
-        return self.num.evaluate(t) / den
+        return self.to_ratfunc().evaluate(t)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (FactoredFraction, RatFunc, Poly, int)):
@@ -838,7 +798,7 @@ class FactoredFraction:
         parts = [f"q^{self.qshift}"] if self.qshift else []
         parts += [f"(q^{a} - 1)^{m}" for a, m in sorted(self.factors.items())]
         den = " * ".join(parts)
-        return f"FactoredFraction(({self.num}) / ({den or 1}))"
+        return f"FactoredFraction({self.num!r} / ({den or 1}))"
 
 
 # Miller-Rabin to the first twelve primes proves primality below psi_12, the least strong

@@ -85,6 +85,11 @@ class Truncation(Enum):
     FULL = "full"
     M_SOLVED = "upper"   # alias of UPPER: lemma 3's solved truncation
 
+    def order(self, d: int, r: int, n: int) -> int:
+        """The truncation order M: n - 1 for the full sum, else lemma 3's
+        solved index."""
+        return n - 1 if self is Truncation.FULL else _solved_index(d, r, n)
+
 
 class InvalidCase(ValueError):
     """A parameter tuple violating stated hypotheses, all named."""
@@ -149,11 +154,8 @@ class TheoremCase(namedtuple("TheoremCase", "d r n variant truncation")):
 
     @property
     def upper_bound(self) -> int:
-        """The truncation order M of the sum: lemma 3's solved index, or
-        n - 1 for the full sum."""
-        if self.truncation is Truncation.FULL:
-            return self.n - 1
-        return _solved_index(self.d, self.r, self.n)
+        """The truncation order M of the sum (``Truncation.order``)."""
+        return self.truncation.order(self.d, self.r, self.n)
 
     @property
     def depth(self) -> int:
@@ -442,6 +444,7 @@ def proof_decomposition(case: TheoremCase) -> tuple[FactoredFraction, FactoredFr
 # randomized parameter draws for identity fuzzing
 
 EXPONENT_SPAN = 12  # |exponent| bound for randomized draws
+MAX_RESAMPLES = 500  # degenerate draws that sample_until_valid discards
 
 
 def draw_andrews_params(rng: random.Random, m: int, N: int | None = None,
@@ -480,11 +483,12 @@ def draw_km_params(rng: random.Random, m: int, N: int | None = None) -> Karlsson
     return KarlssonMintonParams(a=a, e=eps, nondeg=nondeg, N=order)
 
 
-def sample_until_valid(rng: random.Random, draw, check, max_attempts: int = 500):
+def sample_until_valid(rng: random.Random, draw, check):
     """Run ``check(draw(rng))`` until no degeneracy error occurs.
 
     Returns (params, result, resamples); degenerate draws (vanishing
-    denominators) are discarded and counted.
+    denominators) are discarded and counted, and the ``MAX_RESAMPLES``-th
+    is raised.
     """
     resamples = 0
     while True:
@@ -493,5 +497,5 @@ def sample_until_valid(rng: random.Random, draw, check, max_attempts: int = 500)
             return params, check(params), resamples
         except VanishingDenominator:
             resamples += 1
-            if resamples >= max_attempts:
+            if resamples >= MAX_RESAMPLES:
                 raise

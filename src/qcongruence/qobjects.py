@@ -199,7 +199,7 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     term is added at its shift, and only the numerator is unpacked, once.
     The 1-norm of P(e) is at most 2**|e|, |e| = sum(e.values()), so with E
     the largest |e_k| and n terms every coefficient of the numerator is
-    below n * 2**E <= 2**(B - 2) for B = E + n.bit_length() + 2 (rounded up
+    below n * 2**E < 2**(B - 1) for B = E + n.bit_length() + 1 (rounded up
     to whole bytes).  Evaluation at 2**B is a ring homomorphism and nothing
     before the numerator is unpacked, so U and P(b_k) need no bound.
     """

@@ -24,10 +24,8 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 from qcongruence.exactalg import (
-    INFINITE,
     ONE,
     Poly,
     RatFunc,
@@ -36,7 +34,7 @@ from qcongruence.exactalg import (
     phi_valuation,
     poly_gcd,
 )
-from qcongruence.qobjects import QPochSpec, q_pochhammer, qsum
+from qcongruence.qobjects import qsum
 from qcongruence.hypergeom import (
     Truncation,
     Variant,

@@ -63,19 +63,6 @@ def test_modulus_expansion():
         Modulus({3: 0})
 
 
-def test_modulus_polynomial():
-    assert q_integer_modulus(6, 0).polynomial() == (
-        cyclotomic(2) * cyclotomic(3) * cyclotomic(6)
-    )
-    assert q_integer_modulus(4, 2).describe() == "Phi_2 * Phi_4^3"
-    for n, k in [(n, k) for n in range(2, 40) for k in range(4)]:
-        mod = q_integer_modulus(n, k)
-        want = Poly((1,))
-        for m, power in mod.parts.items():
-            want = want * cyclotomic(m) ** power
-        assert mod.polynomial() == want
-
-
 # ---------------------------------------------------------------------------
 # check_congruence
 

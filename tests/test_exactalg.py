@@ -36,6 +36,7 @@ from qcongruence.exactalg import (
     _is_prime,
     _phi_exponents,
     _poly_phi_valuation,
+    _slot_bits,
     _unpack,
 )
 
@@ -333,6 +334,14 @@ def test_ratfunc_evaluate_pole():
         f.evaluate(1)
 
 
+def test_repr_evaluates_back_to_the_value():
+    # a failing example's repr can be pasted back into a test
+    names = {"Poly": Poly, "RatFunc": RatFunc}
+    for x in [ZERO, ONE, Q + 2, P(0, -3, 0, 1), RatFunc(0), RatFunc(Q + 2),
+              RatFunc(P(1, 1), P(-1, 0, 1)), RatFunc(P(-2, 0, 2), P(3, 0, 0, 5))]:
+        assert eval(repr(x), names) == x
+
+
 @given(small_polys, nonzero_polys)
 def test_canonical_form_invariants(num, den):
     f = RatFunc(num, den)
@@ -485,6 +494,12 @@ def test_expand_factors_matches_poly_products(factors):
     for a, m in factors.items():
         want = want * binomial(a) ** m
     assert Poly(_expand_factors(factors)) == want
+
+
+def test_slot_bits_is_the_least_byte_multiple_above_the_bound():
+    # a sign bit on top of the bound, and no spare bit
+    for b in range(257):
+        assert _slot_bits(b) == next(B for B in range(8, 272, 8) if B >= b + 1)
 
 
 # ---------------------------------------------------------------------------
