@@ -6,6 +6,10 @@ human summary goes to stderr.  Records are byte-stable for a fixed seed:
 timings are reported on stderr only and the elapsed_ms field is always
 null, so reruns and different --jobs settings produce identical bytes.
 
+A sweep with --jobs above 1 forks its workers itself (POSIX only):
+``_fork_map`` sends each one case indices over a pipe and reads each
+record back as its JSON line, so no command imports multiprocessing.
+
 Exit codes: 0 success, 1 mathematical FAIL, 2 usage or hypothesis error,
 or stdout closed before the run finished.
 """
@@ -259,6 +263,124 @@ def _sweep_worker(job) -> dict:
                           _check_case(kind, case, oracle), seed)
 
 
+class WorkerError(RuntimeError):
+    """A forked worker exited before it returned every job dealt to it."""
+
+
+def _serve(fn, tasks: int, results: int, parent_ends: tuple[int, int]) -> None:
+    """A forked worker's loop: for each index read from ``tasks``, write
+    ``fn(index)`` and a newline to ``results``.  Never returns."""
+    code = 1
+    try:
+        import signal
+        # Ctrl-C is the parent's to handle: it stops and reaps the workers
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # a copy of the task pipe's write end held here would keep this
+        # worker from ever reading EOF
+        for fd in parent_ends:
+            os.close(fd)
+        # the parent writes 4 bytes at a time, and pipe writes that small
+        # are atomic, so each read is one whole index or EOF
+        while index := os.read(tasks, 4):
+            data = (fn(int.from_bytes(index, "little")) + "\n").encode()
+            while data:
+                data = data[os.write(results, data):]
+        code = 0
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        # no exit handlers and no flush of buffers copied from the parent
+        os._exit(code)
+
+
+def _fork_map(fn, count: int, workers: int):
+    """Yield ``fn(0)``, ..., ``fn(count - 1)`` in order, each a str with no
+    newline, computed in ``workers`` forked processes (POSIX only).
+
+    Each worker reads 4-byte job indices from its own task pipe and writes
+    each result as one line on its own result pipe.  Two indices are in
+    flight per worker; as a worker answers, it is sent the next index.
+    Closing the generator, or any error, kills the workers; a worker that
+    exits with a job unanswered raises WorkerError.  Every exit closes the
+    pipes and reaps every worker.
+    """
+    import select
+    import signal
+
+    # per worker, keyed by the parent's end of its result pipe
+    pids = {}
+    tasks = {}          # the parent's end of its task pipe, until closed
+    in_flight = {}      # the indices it was sent and has not answered, oldest first
+    partial = {}        # the bytes of its next line read so far
+    done = {}           # index -> line, until every earlier line is out
+    dealt = emitted = 0
+    finished = False
+    poller = select.poll()
+
+    def died(fd: int, job: int) -> WorkerError:
+        return WorkerError(f"worker {pids[fd]} exited before it returned job {job}")
+
+    def deal(fd: int) -> None:
+        nonlocal dealt
+        if dealt == count:
+            if fd in tasks:
+                # after its last job the worker reads EOF and exits
+                os.close(tasks.pop(fd))
+            return
+        try:
+            os.write(tasks[fd], dealt.to_bytes(4, "little"))
+        except BrokenPipeError:
+            raise died(fd, (in_flight[fd] or [dealt])[0]) from None
+        in_flight[fd].append(dealt)
+        dealt += 1
+
+    try:
+        for _ in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve(fn, task_r, result_w, (task_w, result_r))
+            os.close(task_r)
+            os.close(result_w)
+            pids[result_r], tasks[result_r] = pid, task_w
+            in_flight[result_r], partial[result_r] = [], b""
+            poller.register(result_r, select.POLLIN)
+        for _ in range(2):
+            for fd in pids:
+                deal(fd)
+        while emitted < count:
+            for fd, _event in poller.poll():
+                data = os.read(fd, 1 << 16)
+                if not data:
+                    if in_flight[fd]:
+                        raise died(fd, in_flight[fd][0])
+                    poller.unregister(fd)
+                    continue
+                *lines, partial[fd] = (partial[fd] + data).split(b"\n")
+                for line in lines:
+                    done[in_flight[fd].pop(0)] = line.decode()
+                    deal(fd)
+            while emitted in done:
+                yield done.pop(emitted)
+                emitted += 1
+        finished = True
+    finally:
+        # a worker whose task pipe closes exits after its jobs; one still
+        # busy after an early exit is killed, so none writes to a closed
+        # result pipe
+        for fd in tasks.values():
+            os.close(fd)
+        for pid in pids.values():
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in pids:
+            os.close(fd)
+
+
 def _sweep_cases(kind: str, d_max: int, n_max: int,
                  r_range: tuple[int, int]) -> list[TheoremCase]:
     if kind in ("thm1", "thm2"):
@@ -289,6 +411,10 @@ def cmd_sweep(args) -> int:
         print(f"sweep {kind}: no case has d <= {args.d_max}, n <= {args.n_max} "
               f"and {r_bound}", file=sys.stderr)
         return EXIT_ERROR
+    if args.jobs > 1 and len(cases) > 1 and not hasattr(os, "fork"):
+        print("error: --jobs above 1 forks workers, and this platform has no "
+              "os.fork; use --jobs 1", file=sys.stderr)
+        return EXIT_ERROR
     # the header echoes the grid and seed, never --jobs or --output, so
     # output bytes do not depend on them
     header = json.dumps({"command": f"sweep {kind}",
@@ -301,25 +427,26 @@ def cmd_sweep(args) -> int:
     def lines(records):
         # write (and count) each record as soon as it is next in order
         yield header
-        for rec in records:
+        for line in records:
+            rec = json.loads(line)
             counts[rec["status"]] += 1
             if args.oracle and rec.get("oracle") != rec["status"]:
                 counts["mismatch"] += 1
-            yield json.dumps(rec)
+            yield line
+
+    def record_line(index: int) -> str:
+        return json.dumps(_sweep_worker(jobs[index]))
 
     start = time.perf_counter()
     if args.jobs > 1 and len(jobs) > 1:
-        # imported here, so only a run that starts workers loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # the pool starts all its workers at the first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
-            try:
-                _emit(lines(pool.map(_sweep_worker, jobs)), args.output)
-            finally:
-                # on an early exit (a closed stdout), drop the cases not started
-                pool.shutdown(cancel_futures=True)
+        records = _fork_map(record_line, len(jobs), min(args.jobs, len(jobs)))
     else:
-        _emit(lines(map(_sweep_worker, jobs)), args.output)
+        records = (record_line(index) for index in range(len(jobs)))
+    try:
+        _emit(lines(records), args.output)
+    finally:
+        # on an early exit (a closed stdout, Ctrl-C) this stops the workers
+        records.close()
     elapsed = time.perf_counter() - start
     print(f"sweep {kind}: {len(jobs)} cases, "
           f"{counts['PASS']} pass, {counts['FAIL']} fail, "

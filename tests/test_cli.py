@@ -12,11 +12,15 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
+# a deadlocked worker pool fails the test instead of hanging the suite
+CLI_TIMEOUT_S = 300
+
+
 def run_cli(*args):
     env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-m", "qcongruence", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S,
     )
 
 
@@ -619,29 +623,17 @@ def test_verify_negative_power_names_power(power):
 
 
 def test_sweep_pool_never_exceeds_the_case_count(monkeypatch, capsys):
-    # the pool starts every worker it is given, so --jobs is capped at the
-    # number of cases; the fake pool maps in-process and starts nothing
+    # the pool forks every worker it is given, so --jobs is capped at the
+    # number of cases; the fake pool maps in-process and forks nothing
     from qcongruence import cli
 
     sizes = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def in_process(fn, count, workers):
+        sizes.append(workers)
+        yield from map(fn, range(count))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_fork_map", in_process)
     with open(TINY_SWEEP_OUT) as fh:
         want = fh.read()
     cases = len(want.splitlines()) - 1
@@ -652,7 +644,7 @@ def test_sweep_pool_never_exceeds_the_case_count(monkeypatch, capsys):
 
 
 # runs in one fresh interpreter; prints, per step, the exit codes and
-# whether the process pool's modules are loaded
+# whether the process pool's (and other unneeded) modules are loaded
 POOL_IMPORT_SCRIPT = """
 import contextlib, io, json, sys
 from qcongruence import cli
@@ -677,18 +669,121 @@ print(json.dumps(steps))
 """
 
 
-def test_only_a_parallel_sweep_loads_the_process_pool():
-    # verify, identity and a serial sweep never start workers, so they must
-    # not pay for importing multiprocessing; a parallel sweep does.  No
-    # command needs dataclasses or fractions (nor what they import) at all
+def test_no_command_loads_the_process_pool():
+    # a parallel sweep forks its own workers, so no command, the parallel
+    # sweep included, pays for importing multiprocessing or
+    # concurrent.futures; none needs dataclasses or fractions (nor what
+    # they import) either
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_SCRIPT],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
     assert proc.returncode == 0, proc.stderr
-    unused = [False] * 4
-    assert json.loads(proc.stdout) == [[[], [False, False, *unused]],
-                                       [[1, 0, 0, 0, 1], [False, False, *unused]],
-                                       [[1], [True, True, *unused]]]
+    unused = [False] * 6
+    assert json.loads(proc.stdout) == [[[], unused],
+                                       [[1, 0, 0, 0, 1], unused],
+                                       [[1], unused]]
+
+
+# runs a parallel sweep whose check raises on one case, in a fresh
+# interpreter so that its forked workers are this script's children only
+WORKER_RAISES_SCRIPT = """
+import os, sys
+from qcongruence import cli
+
+real = cli._check_case
+
+def dies_on_one_case(kind, case, oracle, power=None):
+    if (case.d, case.r, case.n, case.truncation.value) == (5, 1, 4, "full"):
+        raise RuntimeError("the check died")
+    return real(kind, case, oracle, power)
+
+cli._check_case = dies_on_one_case
+try:
+    cli.main([*sys.argv[1:], "--jobs", "2"])
+except cli.WorkerError:
+    print("WorkerError")
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_sweep_worker_that_raises_is_a_named_error(tmp_path):
+    # the worker's traceback goes to stderr; the parent raises WorkerError
+    # without hanging, and reaps every worker on the way out
+    out = tmp_path / "sweep.jsonl"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", WORKER_RAISES_SCRIPT, *TINY_SWEEP,
+                           "--output", str(out)],
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["WorkerError", "no child left"]
+    assert proc.stderr.splitlines()[-1] == "RuntimeError: the check died"
+    # what was written is the stored output's first lines, and stops
+    # before the case that died
+    with open(TINY_SWEEP_OUT) as fh:
+        want = fh.read().splitlines(keepends=True)
+    died = next(i for i, line in enumerate(want)
+                if '"d": 5, "r": 1, "n": 4' in line and '"full"' in line)
+    got = out.read_text().splitlines(keepends=True)
+    assert 1 <= len(got) <= died and got == want[:len(got)]
+
+
+# a parallel sweep whose reader stops after the first record, while both
+# workers sit in slow cases; prints to stderr, since the CLI points a
+# closed stdout at devnull
+STOPPED_EARLY_SCRIPT = """
+import os, sys, time
+from qcongruence import cli
+
+real = cli._check_case
+first = cli._sweep_cases("thm1", 5, 9, cli.SWEEP_R_RANGE)[0]
+
+def slow_after_the_first(kind, case, oracle, power=None):
+    if case != first:
+        time.sleep(60)
+    return real(kind, case, oracle, power)
+
+def reader_stops_after_one_record(lines, output):
+    for count, _line in enumerate(lines):
+        if count == 1:
+            raise BrokenPipeError
+
+cli._check_case = slow_after_the_first
+cli._emit = reader_stops_after_one_record
+start = time.perf_counter()
+code = cli.main([*sys.argv[1:], "--jobs", "2"])
+print(code, "fast" if time.perf_counter() - start < 30 else "slow", file=sys.stderr)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left", file=sys.stderr)
+except ChildProcessError:
+    print("no child left", file=sys.stderr)
+"""
+
+
+def test_sweep_stopped_early_kills_its_busy_workers():
+    # the early exit kills the workers mid-case and reaps them, instead of
+    # waiting for the cases they hold
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", STOPPED_EARLY_SCRIPT, *TINY_SWEEP],
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+    assert proc.stderr.splitlines() == ["error: stdout closed before the run finished",
+                                        "2 fast", "no child left"]
+
+
+def test_parallel_sweep_without_fork_is_a_usage_error(monkeypatch, capsys):
+    from qcongruence import cli
+
+    monkeypatch.delattr(os, "fork")
+    assert cli.main([*TINY_SWEEP, "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "--jobs" in captured.err
+    # a serial sweep needs no fork
+    assert cli.main([*TINY_SWEEP, "--jobs", "1"]) == 1
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -744,12 +839,15 @@ def test_canonical_form_takes_binomial_steps_only(monkeypatch, kind):
 def test_closed_stdout_exits_2(args, tmp_path):
     # the reader stops after one line: one stderr line and exit 2, no
     # traceback; the sweep drops its pending cases instead of finishing a
-    # grid that takes far longer than the timeout
+    # grid that takes far longer than the timeout, and leaves no worker
+    # running (the CLI leads a process group of its own, so any worker
+    # left would keep the group alive)
     err_path = tmp_path / "stderr"
     with open(err_path, "w") as err:
         proc = subprocess.Popen([sys.executable, "-m", "qcongruence", *args],
                                 stdout=subprocess.PIPE, stderr=err, text=True,
-                                env=dict(os.environ, PYTHONPATH=SRC))
+                                env=dict(os.environ, PYTHONPATH=SRC),
+                                start_new_session=True)
         try:
             proc.stdout.readline()
             proc.stdout.close()
@@ -758,6 +856,8 @@ def test_closed_stdout_exits_2(args, tmp_path):
             proc.kill()
     assert code == 2
     assert err_path.read_text().splitlines() == ["error: stdout closed before the run finished"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
