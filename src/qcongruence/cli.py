@@ -7,8 +7,9 @@ timings are reported on stderr only and the elapsed_ms field is always
 null, so reruns and different --jobs settings produce identical bytes.
 
 A sweep with --jobs above 1 forks its workers itself (POSIX only):
-``_fork_map`` sends each one case indices over a pipe and reads each
-record back as its JSON line, so no command imports multiprocessing.
+``_fork_map`` deals each one its case indices up front and reads record
+i back as the next JSON line on its owner's pipe, so no command imports
+multiprocessing.
 
 Exit codes: 0 success, 1 mathematical FAIL, 2 usage or hypothesis error,
 or stdout closed before the run finished.
@@ -257,35 +258,36 @@ def cmd_identity(args) -> int:
 # sweep
 
 
-def _sweep_worker(job) -> dict:
-    kind, case, oracle, seed = job
-    return _report_record(f"sweep {kind}", _case_fields(case),
-                          _check_case(kind, case, oracle), seed)
-
-
 class WorkerError(RuntimeError):
     """A forked worker exited before it returned every job dealt to it."""
 
 
-def _serve(fn, tasks: int, results: int, parent_ends: tuple[int, int]) -> None:
-    """A forked worker's loop: for each index read from ``tasks``, write
+def _owner(index: int, workers: int) -> int:
+    """The worker that job ``index`` is dealt to: one job per worker per
+    round, every other round in reverse (0, 1, 1, 0, 0, 1, ... for two),
+    so a pattern that repeats with the worker count (a sweep's upper and
+    full pair) does not hand one worker every heavy job."""
+    turn, seat = divmod(index, workers)
+    return workers - 1 - seat if turn % 2 else seat
+
+
+def _work(fn, jobs: Iterable[int], results: int) -> None:
+    """A forked worker: for each index of ``jobs`` in order, write
     ``fn(index)`` and a newline to ``results``.  Never returns."""
     code = 1
     try:
         import signal
-        # Ctrl-C is the parent's to handle: it stops and reaps the workers
+        # Ctrl-C is the parent's to handle (it kills and reaps the workers);
+        # SIGTERM ends a worker outright, not by the parent's copied handler
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        # a copy of the task pipe's write end held here would keep this
-        # worker from ever reading EOF
-        for fd in parent_ends:
-            os.close(fd)
-        # the parent writes 4 bytes at a time, and pipe writes that small
-        # are atomic, so each read is one whole index or EOF
-        while index := os.read(tasks, 4):
-            data = (fn(int.from_bytes(index, "little")) + "\n").encode()
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for index in jobs:
+            data = (fn(index) + "\n").encode()
             while data:
                 data = data[os.write(results, data):]
         code = 0
+    except BrokenPipeError:
+        pass  # the parent is gone, so no one reads the records
     except BaseException:
         import traceback
         traceback.print_exc()
@@ -299,86 +301,48 @@ def _fork_map(fn, count: int, workers: int):
     """Yield ``fn(0)``, ..., ``fn(count - 1)`` in order, each a str with no
     newline, computed in ``workers`` forked processes (POSIX only).
 
-    Each worker reads 4-byte job indices from its own task pipe and writes
-    each result as one line on its own result pipe.  Two indices are in
-    flight per worker; as a worker answers, it is sent the next index.
-    Closing the generator, or any error, kills the workers; a worker that
-    exits with a job unanswered raises WorkerError.  Every exit closes the
-    pipes and reaps every worker.
+    Job i goes to worker ``_owner(i, workers)``, which computes its jobs in
+    order and writes each result as one line on its own pipe, so result i
+    is the next line on that pipe.  A worker that exits before it writes a
+    whole line for its next job raises WorkerError.  Every exit, SIGTERM
+    included, kills and reaps every worker and closes the pipes.
     """
-    import select
     import signal
 
-    # per worker, keyed by the parent's end of its result pipe
-    pids = {}
-    tasks = {}          # the parent's end of its task pipe, until closed
-    in_flight = {}      # the indices it was sent and has not answered, oldest first
-    partial = {}        # the bytes of its next line read so far
-    done = {}           # index -> line, until every earlier line is out
-    dealt = emitted = 0
-    finished = False
-    poller = select.poll()
-
-    def died(fd: int, job: int) -> WorkerError:
-        return WorkerError(f"worker {pids[fd]} exited before it returned job {job}")
-
-    def deal(fd: int) -> None:
-        nonlocal dealt
-        if dealt == count:
-            if fd in tasks:
-                # after its last job the worker reads EOF and exits
-                os.close(tasks.pop(fd))
-            return
-        try:
-            os.write(tasks[fd], dealt.to_bytes(4, "little"))
-        except BrokenPipeError:
-            raise died(fd, (in_flight[fd] or [dealt])[0]) from None
-        in_flight[fd].append(dealt)
-        dealt += 1
-
+    pids, pipes = [], []
+    # SIGTERM takes Ctrl-C's path: unwind through the kill and reap below
+    previous = signal.signal(signal.SIGTERM, lambda signum, _frame: sys.exit(128 + signum))
     try:
-        for _ in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
+        for worker in range(workers):
+            read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _serve(fn, task_r, result_w, (task_w, result_r))
-            os.close(task_r)
-            os.close(result_w)
-            pids[result_r], tasks[result_r] = pid, task_w
-            in_flight[result_r], partial[result_r] = [], b""
-            poller.register(result_r, select.POLLIN)
-        for _ in range(2):
-            for fd in pids:
-                deal(fd)
-        while emitted < count:
-            for fd, _event in poller.poll():
-                data = os.read(fd, 1 << 16)
-                if not data:
-                    if in_flight[fd]:
-                        raise died(fd, in_flight[fd][0])
-                    poller.unregister(fd)
-                    continue
-                *lines, partial[fd] = (partial[fd] + data).split(b"\n")
-                for line in lines:
-                    done[in_flight[fd].pop(0)] = line.decode()
-                    deal(fd)
-            while emitted in done:
-                yield done.pop(emitted)
-                emitted += 1
-        finished = True
+                # no read end left open here, so a worker whose parent is
+                # gone gets a broken pipe
+                os.close(read_end)
+                for pipe in pipes:
+                    pipe.close()
+                _work(fn, [i for i in range(count) if _owner(i, workers) == worker],
+                      write_end)
+            os.close(write_end)
+            pids.append(pid)
+            pipes.append(open(read_end, "rb"))
+        for index in range(count):
+            owner = _owner(index, workers)
+            line = pipes[owner].readline()
+            if not line.endswith(b"\n"):
+                raise WorkerError(f"worker {pids[owner]} exited before it "
+                                  f"returned job {index}")
+            yield line[:-1].decode()
     finally:
-        # a worker whose task pipe closes exits after its jobs; one still
-        # busy after an early exit is killed, so none writes to a closed
-        # result pipe
-        for fd in tasks.values():
-            os.close(fd)
-        for pid in pids.values():
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
+        # a worker whose last line was read has nothing left to do, and one
+        # still busy after an early exit must not finish its jobs
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in pids:
-            os.close(fd)
+        for pipe in pipes:
+            pipe.close()
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _sweep_cases(kind: str, d_max: int, n_max: int,
@@ -421,7 +385,6 @@ def cmd_sweep(args) -> int:
                          "d_max": args.d_max, "n_max": args.n_max,
                          "r_min": r_range[0], "r_max": r_range[1],
                          "cases": len(cases), "seed": args.seed})
-    jobs = [(kind, case, args.oracle, args.seed) for case in cases]
     counts = {"PASS": 0, "FAIL": 0, "ERROR": 0, "mismatch": 0}
 
     def lines(records):
@@ -435,20 +398,23 @@ def cmd_sweep(args) -> int:
             yield line
 
     def record_line(index: int) -> str:
-        return json.dumps(_sweep_worker(jobs[index]))
+        report = _check_case(kind, cases[index], args.oracle)
+        return json.dumps(_report_record(f"sweep {kind}", _case_fields(cases[index]),
+                                         report, args.seed))
 
     start = time.perf_counter()
-    if args.jobs > 1 and len(jobs) > 1:
-        records = _fork_map(record_line, len(jobs), min(args.jobs, len(jobs)))
+    if args.jobs > 1 and len(cases) > 1:
+        records = _fork_map(record_line, len(cases), min(args.jobs, len(cases)))
     else:
-        records = (record_line(index) for index in range(len(jobs)))
+        records = (record_line(index) for index in range(len(cases)))
     try:
         _emit(lines(records), args.output)
     finally:
-        # on an early exit (a closed stdout, Ctrl-C) this stops the workers
+        # on an early exit (a closed stdout, Ctrl-C, SIGTERM) this stops
+        # the workers
         records.close()
     elapsed = time.perf_counter() - start
-    print(f"sweep {kind}: {len(jobs)} cases, "
+    print(f"sweep {kind}: {len(cases)} cases, "
           f"{counts['PASS']} pass, {counts['FAIL']} fail, "
           f"{counts['ERROR']} error ({elapsed:.1f} s)", file=sys.stderr)
     if counts["mismatch"]:

@@ -1,9 +1,11 @@
 """Exit-code contract, report records, and byte-level determinism."""
 
+import contextlib
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -561,16 +563,16 @@ TINY_SWEEP_OUT = os.path.join(EXPECTED, "sweep_tiny.out")
 def test_sweep_writes_each_record_when_done(monkeypatch, tmp_path):
     from qcongruence import cli
 
-    real = cli._sweep_worker
+    real = cli._check_case
     done = []
 
-    def dies_on_third(job):
+    def dies_on_third(*args):
         if len(done) == 2:
             raise RuntimeError("worker died")
-        done.append(job)
-        return real(job)
+        done.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "_sweep_worker", dies_on_third)
+    monkeypatch.setattr(cli, "_check_case", dies_on_third)
     out = tmp_path / "sweep.jsonl"
     with pytest.raises(RuntimeError):
         cli.main([*TINY_SWEEP, "--jobs", "1", "--output", str(out)])
@@ -772,6 +774,104 @@ def test_sweep_stopped_early_kills_its_busy_workers():
                           capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
     assert proc.stderr.splitlines() == ["error: stdout closed before the run finished",
                                         "2 fast", "no child left"]
+
+
+@pytest.mark.parametrize("workers", range(1, 6))
+def test_owner_deals_round_by_round_reversing_every_other_round(workers):
+    # a plain index % workers deal gives the same bytes but puts every
+    # full sum of a sweep's upper/full pairs on one of two workers
+    from qcongruence import cli
+
+    for count in range(51):
+        owners = [cli._owner(index, workers) for index in range(count)]
+        assert set(owners) <= set(range(workers))
+        dealt = [[i for i, owner in enumerate(owners) if owner == worker]
+                 for worker in range(workers)]
+        # each index once, each worker's in increasing order
+        assert sorted(sum(dealt, [])) == list(range(count))
+        assert all(jobs == sorted(jobs) for jobs in dealt)
+        shares = [len(jobs) for jobs in dealt]
+        assert max(shares) - min(shares) <= 1
+    if workers == 2:
+        assert owners[:6] == [0, 1, 1, 0, 0, 1]
+
+
+# maps four jobs over two workers; the worker of the last job dies halfway
+# through writing its line
+SHORT_LINE_SCRIPT = """
+import os
+from qcongruence import cli
+
+real_write = os.write
+
+def dies_mid_line(fd, data):
+    real_write(fd, data[:len(data) // 2])
+    os._exit(0)
+
+def job(index):
+    if index == 3:
+        os.write = dies_mid_line
+    return f"job {index}"
+
+got = []
+try:
+    got.extend(cli._fork_map(job, 4, 2))
+except cli.WorkerError:
+    got.append("WorkerError")
+print(got)
+"""
+
+
+def test_fork_map_short_last_line_is_a_named_error():
+    # a line cut short is a worker that died, not a result
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", SHORT_LINE_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=CLI_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['job 0', 'job 1', 'job 2', 'WorkerError']\n"
+
+
+def test_sweep_stopped_by_sigterm_kills_its_workers(tmp_path):
+    # SIGTERM takes Ctrl-C's path: the parent kills and reaps its workers
+    # before it exits, and no worker prints a traceback
+    err_path = tmp_path / "stderr"
+    with open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "qcongruence", "sweep", "--theorem",
+                                 "thm1", "--d-max", "9", "--n-max", "40", "--jobs", "2"],
+                                stdout=subprocess.PIPE, stderr=err, text=True,
+                                env=dict(os.environ, PYTHONPATH=SRC),
+                                start_new_session=True)
+        try:
+            for _ in range(2):   # the header and the first record
+                proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=20)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    assert "Traceback" not in err_path.read_text()
+    assert code == 128 + signal.SIGTERM
+
+
+def test_sweep_workers_of_a_killed_parent_exit_quietly():
+    # a parent killed outright cannot stop its workers: each exits at its
+    # next record, on the broken pipe, without a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "qcongruence", "sweep", "--theorem",
+                             "thm1", "--d-max", "9", "--n-max", "40", "--jobs", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC), start_new_session=True)
+    try:
+        for _ in range(2):   # the header and the first record
+            proc.stdout.readline()
+        proc.kill()
+        # the workers hold stdout and stderr open until they exit
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert "Traceback" not in err
 
 
 def test_parallel_sweep_without_fork_is_a_usage_error(monkeypatch, capsys):
