@@ -370,9 +370,9 @@ class RatFunc:
     """Canonical fraction num/den of two integer polynomials in q.
 
     The constructor is the one place that reduces: ``+`` hands it the
-    combined fraction, and ``*`` the two cross pairs (num1/den2, num2/den1),
-    whose product is then canonical; as the canonical form is unique,
-    nothing is reduced anywhere else."""
+    combined fraction (none when a denominator is 1), and ``*`` the two
+    cross pairs (num1/den2, num2/den1), whose product is then canonical; as
+    the canonical form is unique, nothing is reduced anywhere else."""
 
     __slots__ = ("num", "den")
 
@@ -423,6 +423,10 @@ class RatFunc:
 
     def __add__(self, other: Union["RatFunc", Poly, int]) -> "RatFunc":
         other = _as_ratfunc(other)
+        if self.den == ONE:
+            self, other = other, self
+        if other.den == ONE:    # a factor common to num + p*den and den divides num
+            return RatFunc._from_canonical(self.num + other.num * self.den, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -478,7 +482,7 @@ def _as_ratfunc(x: Union[RatFunc, "FactoredFraction", Poly, int]) -> RatFunc:
         return x
     if isinstance(x, FactoredFraction):
         return x.to_ratfunc()
-    return RatFunc(_as_poly(x))
+    return RatFunc._from_canonical(_as_poly(x), ONE)    # p/1 is canonical
 
 
 ratfunc_normalize = RatFunc

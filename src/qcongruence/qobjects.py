@@ -176,23 +176,67 @@ class QProduct:
         return f"QProduct({'-' if self.sign < 0 else ''}q^{self.qexp} {body})"
 
 
-def qsum(products: Iterable[QProduct]) -> FactoredFraction:
-    """Exact sum of QProduct terms, unreduced.
+def _nest(products: Iterable[QProduct]) -> tuple:
+    """The nesting schedule of a sum of QProduct terms, as exponent maps:
+    (den, qden, rows, steps, final).  Zero terms are dropped.
 
-    All terms are placed over the least common factored denominator, so
-    term k contributes sign * q**shift * P(e_k), P(e) = prod (q**a - 1)**e[a].
-    The sum is nested from the last term.  With C_k the elementwise minimum
-    of e_i over the tail i >= k, U holds the tail's sum divided by P(C_k);
-    a step to k - 1 multiplies U by the binomials that leave C and adds
-    P(w_(k-1)), w_k = e_k - C_k.  The cofactor is carried as P(b_k), b_k the
-    elementwise minimum of w_i over the prefix i <= k (a factor missing
-    from some w_i counts as 0).  As b_(k+1) <= b_k <= w_k, the carried
-    P(b_k) only gains binomials on the way to the first term, and term k is
-    P(b_k) * P(w_k - b_k): nothing is divided out, and a hypergeometric
-    series costs about one binomial per factor of its term ratio.  The
-    result keeps the common denominator as its factor map, and as its floor
-    the least Phi_d multiplicity of the P(e_k), for each d; nothing is
-    reduced.
+    All terms are placed over the least common factored denominator
+    P(den) * q**qden, so row k is (sign, shift, e_k): term k contributes
+    sign * q**shift * P(e_k), P(e) = prod (q**a - 1)**e[a].  The sum is
+    nested from the last term.  With C_k the elementwise minimum of e_i over
+    the tail i >= k, U holds the tail's sum divided by P(C_k); a step to k
+    multiplies U by P(C_(k+1) - C_k) and adds P(w_k), w_k = e_k - C_k.  The
+    cofactor is carried as P(b_k), b_k the elementwise minimum of w_i over
+    the prefix i <= k (a factor missing from some w_i counts as 0).  As
+    b_(k+1) <= b_k <= w_k, the carried P(b_k) only gains binomials on the
+    way to the first term, and term k is P(b_k) * P(w_k - b_k): nothing is
+    divided out, and a hypergeometric series costs about one binomial per
+    factor of its term ratio.
+
+    ``steps`` has one entry per row, the last term first: [sign, shift,
+    C_(k+1) - C_k, b_k - b_(k+1), w_k - b_k], with C_n = b_n = {}; every map
+    is non-negative.  The sum is P(final) * U after the first term's step,
+    final = C_0.  Any ring that holds P(e) can run the steps.
+    """
+    terms = [t for t in products if not t.is_zero]
+    den: dict[int, int] = {}
+    min_qexp = 0
+    for t in terms:
+        for a, m in t.factors.items():
+            if m < 0 and -m > den.get(a, 0):
+                den[a] = -m
+        if t.qexp < min_qexp:
+            min_qexp = t.qexp
+    qden = -min_qexp
+
+    rows = []
+    for t in terms:
+        exps = dict(den)
+        for a, m in t.factors.items():
+            exps[a] = exps.get(a, 0) + m
+        rows.append((t.sign, t.qexp + qden, exps))
+
+    commons: list[dict[int, int]] = []    # C_k, last term first
+    for *_, exps in reversed(rows):
+        common = commons[-1] if commons else exps
+        commons.append({a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)})
+    commons.reverse()
+    steps, b = [], None
+    for (sign, shift, exps), common, outer in zip(rows, commons, commons[1:] + [{}]):
+        w = {a: m - common.get(a, 0) for a, m in exps.items() if m > common.get(a, 0)}
+        b = w if b is None else {a: min(m, b[a]) for a, m in w.items() if a in b}
+        if steps:    # the slot held b_(k-1); b_(k-1) - b_k is emitted one step late
+            steps[-1][3] = {a: m - b.get(a, 0) for a, m in steps[-1][3].items()}
+        steps.append([sign, shift, {a: m - common.get(a, 0) for a, m in outer.items()},
+                      b, {a: m - b.get(a, 0) for a, m in w.items()}])
+    steps.reverse()
+    return den, qden, rows, steps, commons[0] if commons else {}
+
+
+def qsum(products: Iterable[QProduct]) -> FactoredFraction:
+    """Exact sum of QProduct terms, unreduced: ``_nest``'s schedule run on
+    packed ints, with the common denominator as the factor map and, as the
+    floor, the least Phi_d multiplicity of the rows P(e_k) for each d.
 
     Every polynomial on the way is one int, its value at q = 2**B (see
     ``exactalg._unpack``): a binomial step is a shift and a subtraction, a
@@ -203,48 +247,18 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
     to whole bytes).  Evaluation at 2**B is a ring homomorphism and nothing
     before the numerator is unpacked, so U and P(b_k) need no bound.
     """
-    terms = [t for t in products if not t.is_zero]
-
-    den_need: dict[int, int] = {}
-    min_qexp = 0
-    for t in terms:
-        for a, m in t.factors.items():
-            if m < 0 and -m > den_need.get(a, 0):
-                den_need[a] = -m
-        if t.qexp < min_qexp:
-            min_qexp = t.qexp
-    qden = -min_qexp
-
-    rows = []
-    for t in terms:
-        exps = dict(den_need)
-        for a, m in t.factors.items():
-            exps[a] = exps.get(a, 0) + m
-        rows.append((t.sign, t.qexp + qden, exps))
+    den, qden, rows, steps, final = _nest(products)
     B = _slot_bits(max((sum(e.values()) for *_, e in rows), default=0)
                    + len(rows).bit_length())
-
-    commons: list[dict[int, int]] = []    # C_k, last term first
-    for *_, exps in reversed(rows):
-        common = commons[-1] if commons else exps
-        commons.append({a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)})
-    steps = []                            # (sign, shift, C_k, w_k, b_k), first term first
-    b = None
-    for (sign, shift, exps), common in zip(rows, reversed(commons)):
-        w = {a: m - common.get(a, 0) for a, m in exps.items() if m > common.get(a, 0)}
-        b = w if b is None else {a: min(m, b[a]) for a, m in w.items() if a in b}
-        steps.append((sign, shift, common, w, b))
-
-    acc, base, outer, have = 0, 1, {}, {}  # U, P(b_k), C_(k+1), b_(k+1)
-    for sign, shift, common, w, b in reversed(steps):
-        acc = _mul_packed(acc, {a: m - common.get(a, 0) for a, m in outer.items()}, B)
-        base = _mul_packed(base, {a: m - have.get(a, 0) for a, m in b.items()}, B)
-        term = _mul_packed(base, {a: m - b.get(a, 0) for a, m in w.items()}, B) << shift * B
+    acc, base = 0, 1                      # U, P(b_k)
+    for sign, shift, tail, cofactor, own in steps:
+        acc = _mul_packed(acc, tail, B)
+        base = _mul_packed(base, cofactor, B)
+        term = _mul_packed(base, own, B) << shift * B
         acc = acc + term if sign > 0 else acc - term
-        outer, have = common, b
-    acc = _mul_packed(acc, outer, B)
+    acc = _mul_packed(acc, final, B)
     floor = _least_floor(_phi_exponents(exps) for *_, exps in rows)
-    return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den_need, qden, floor)
+    return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den, qden, floor)
 
 
 # ---------------------------------------------------------------------------

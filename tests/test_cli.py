@@ -874,6 +874,46 @@ def test_sweep_workers_of_a_killed_parent_exit_quietly():
     assert "Traceback" not in err
 
 
+# a parallel sweep of the tiny grid whose cases take set times; jobs are
+# dealt 0, 1, 1, 0, 0, ..., so after the first record worker 0 has a 2 s
+# case and worker 1 a 4 s case before their 120 s ones
+TIMED_CASES_SCRIPT = """
+import sys, time
+from qcongruence import cli
+
+real = cli._check_case
+cases = cli._sweep_cases("thm1", 5, 9, cli.SWEEP_R_RANGE)
+seconds = {0: 0, 3: 2, 1: 4}
+
+def timed(kind, case, oracle, power=None):
+    time.sleep(seconds.get(cases.index(case), 120))
+    return real(kind, case, oracle, power)
+
+cli._check_case = timed
+sys.exit(cli.main([*sys.argv[1:], "--jobs", "2"]))
+"""
+
+
+def test_workers_of_a_killed_parent_stop_at_their_next_record():
+    # no worker holds a sibling's pipe open, so once the parent is killed
+    # each worker exits at its next record: worker 0 after its 2 s case,
+    # while worker 1 is still in its 4 s case, not after a 120 s one
+    proc = subprocess.Popen([sys.executable, "-c", TIMED_CASES_SCRIPT, *TINY_SWEEP],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC), start_new_session=True)
+    try:
+        for _ in range(2):   # the header and the first record
+            proc.stdout.readline()
+        proc.kill()
+        # the workers hold stdout and stderr open until they exit; one that
+        # ran on into its next case would hold them for 120 s
+        _out, err = proc.communicate(timeout=30)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert "Traceback" not in err
+
+
 def test_parallel_sweep_without_fork_is_a_usage_error(monkeypatch, capsys):
     from qcongruence import cli
 

@@ -583,7 +583,8 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle called into the engine")
 
-    for owner, name in [(qobjects, "qsum"), (hypergeom, "qsum"), (congruence, "qsum"),
+    for owner, name in [(qobjects, "qsum"), (qobjects, "_nest"), (hypergeom, "qsum"),
+                        (congruence, "qsum"),
                         (exactalg.Poly, "divmod_monic"), (exactalg, "_poly_phi_valuation"),
                         (exactalg, "cyclotomic"), (congruence, "cyclotomic"),
                         (exactalg, "_binomial_count"), (exactalg, "_divide_out"),

@@ -318,6 +318,20 @@ def test_product_is_the_constructors_reduction(a, b, c, d, g):
         assert (got.num, got.den) == (want.num, want.den)
 
 
+@given(small_polys, nonzero_polys, small_polys, st.integers(-5, 5))
+@example(Poly((1, 1)), Poly((-1, 0, 1)), Poly((1,)), 0)
+@example(Poly((3,)), Poly((1,)), Poly((-3,)), 0)
+def test_sum_with_a_polynomial_needs_no_gcd(a, b, p, c):
+    # x + p with den(x) or den(p) = 1 is (num + p*den)/den, canonical as it
+    # stands; the constructor's reduction of it is the reference
+    x, y = RatFunc(a, b), RatFunc(p)
+    with mock.patch.object(exactalg, "poly_gcd", side_effect=AssertionError("gcd")):
+        got = [x + y, y + x, x + c, c + x, y + c]
+    want = ([RatFunc(x.num + p * x.den, x.den)] * 2
+            + [RatFunc(x.num + c * x.den, x.den)] * 2 + [RatFunc(p + c)])
+    assert [(f.num, f.den) for f in got] == [(f.num, f.den) for f in want]
+
+
 def test_ratfunc_integer_powers():
     f = RatFunc(P(1, 1), P(-1, 0, 1))
     assert f ** 0 == RatFunc(1)

@@ -17,6 +17,7 @@ from qcongruence.qobjects import (
     QPochSpec,
     QProduct,
     VanishingDenominator,
+    _nest,
     q_poch_product,
     q_pochhammer,
     qsum,
@@ -290,6 +291,49 @@ def test_qsum_matches_per_term_expansion(raw, zeros):
         zero.factors = {3: -2}
         terms.insert(min(i, len(terms)), zero)
     assert_matches_reference(qsum(terms), terms)
+
+
+def nonzero(e):
+    return {a: m for a, m in e.items() if m}
+
+
+def add_maps(x, y):
+    out = dict(x)
+    for a, m in y.items():
+        out[a] = out.get(a, 0) + m
+    return nonzero(out)
+
+
+@given(qproduct_lists, st.lists(st.integers(0, 6), max_size=2))
+@example([(1, 0, {1: 2, 3: -1}, False), (1, -2, {2: 1, 5: -2}, False),
+          (-1, 1, {7: 3}, False), (1, 4, {4: -1, 9: 1}, False)], [1])
+@example([(1, 0, {3: 2, 1: 1}, False), (1, 2, {1: 2}, False),
+          (-1, 0, {3: 1, 1: 1}, False), (1, 1, {1: 1}, False)], [])
+def test_nest_steps_rebuild_each_row(raw, zeros):
+    # the schedule alone, on exponent maps: every map it multiplies by is
+    # non-negative (nothing is divided), and term k's share of the sum, the
+    # final map times the tail maps of the steps after it, the cofactor
+    # maps up to it and its own map, is its row e_k
+    terms = build_terms(raw)
+    for i in zeros:
+        terms.insert(min(i, len(terms)), QProduct().mul_one_minus_q(0))
+    den, qden, rows, steps, final = _nest(terms)
+    live = [t for t in terms if not t.is_zero]
+    assert qden == -min([0] + [t.qexp for t in live])
+    assert [(sign, shift, nonzero(e)) for sign, shift, e in rows] == [
+        (t.sign, t.qexp + qden, add_maps(den, t.factors)) for t in live]
+    assert len(steps) == len(rows)
+    carried, shares = {}, []
+    for sign, shift, tail, cofactor, own in steps:
+        assert min([0, *tail.values(), *cofactor.values(), *own.values()]) == 0
+        shares = [add_maps(share, tail) for share in shares]
+        carried = add_maps(carried, cofactor)
+        shares.append(add_maps(carried, own))
+    assert min([0, *final.values()]) == 0
+    assert [(sign, shift) for sign, shift, *_ in reversed(steps)] == [
+        (sign, shift) for sign, shift, _ in rows]
+    assert [add_maps(share, final) for share in reversed(shares)] == [
+        nonzero(e) for *_, e in rows]
 
 
 def test_qsum_coefficients_past_64_bits():
