@@ -304,8 +304,9 @@ def _fork_map(fn, count: int, workers: int):
     Job i goes to worker ``_owner(i, workers)``, which computes its jobs in
     order and writes each result as one line on its own pipe, so result i
     is the next line on that pipe.  A worker that exits before it writes a
-    whole line for its next job raises WorkerError.  Every exit, SIGTERM
-    included, kills and reaps every worker and closes the pipes.
+    whole line for its next job raises WorkerError, a failed fork OSError.
+    Every exit, SIGTERM included, kills and reaps every worker and closes
+    the pipes.
     """
     import signal
 
@@ -315,18 +316,22 @@ def _fork_map(fn, count: int, workers: int):
     try:
         for worker in range(workers):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(write_end)
+                raise OSError(exc.errno, f"cannot fork sweep worker {worker + 1} of "
+                                         f"{workers}: {exc.strerror}") from exc
             if pid == 0:
                 # no read end left open here, so a worker whose parent is
                 # gone gets a broken pipe
-                os.close(read_end)
                 for pipe in pipes:
                     pipe.close()
                 _work(fn, [i for i in range(count) if _owner(i, workers) == worker],
                       write_end)
             os.close(write_end)
             pids.append(pid)
-            pipes.append(open(read_end, "rb"))
         for index in range(count):
             owner = _owner(index, workers)
             line = pipes[owner].readline()
@@ -549,6 +554,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # the interpreter's final flush does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the run finished", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        # such as a failed fork; BrokenPipeError, an OSError too, comes first
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

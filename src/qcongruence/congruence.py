@@ -41,6 +41,7 @@ from .hypergeom import (
     Truncation,
     Variant,
     _case_violations,
+    _check_sum_shape,
     _ratio_walk,
     _solved_index,
     theorem_sum,
@@ -225,15 +226,11 @@ def check_lemma3(d: int, r: int, n: int,
     The solved truncation is lemma 3's m (``Truncation.order``); the
     alternative is the full range n-1.
     """
-    bad = []
-    if d < 1:
-        bad.append("d must be a positive integer")
+    bad = _check_sum_shape(d, r)
     if n < 1:
         bad.append("n must be a positive integer")
     if d >= 1 and n >= 1 and math.gcd(d, n) != 1:
         bad.append("gcd(d, n) = 1 violated")
-    if d >= 1 and (d * (d - r - 2)) % 2:
-        bad.append("d(d - r - 2) must be even for an integral q-power")
     if bad:
         raise InvalidCase(bad)
     upper = truncation.order(d, r, n)

@@ -671,9 +671,8 @@ def _phi_exponents(factors: dict[int, int]) -> dict[int, int]:
     q**a - 1 exactly once when d | a."""
     out: dict[int, int] = {}
     for a, mult in factors.items():
-        if mult:
-            for d in divisors(a):
-                out[d] = out.get(d, 0) + mult
+        for d in divisors(a):
+            out[d] = out.get(d, 0) + mult
     return out
 
 
@@ -685,15 +684,6 @@ def _binomial_exponents(phi: dict[int, int]) -> dict[int, int]:
     for c in sorted({d for c in phi for d in divisors(c)}, reverse=True):
         k[c] = phi.get(c, 0) - sum(v for a, v in k.items() if a % c == 0)
     return {d: v for d, v in k.items() if v}
-
-
-def _least_floor(floors: Iterable[dict[int, int]]) -> dict[int, int]:
-    """The floor of a sum whose terms have these floors: the least of them
-    at each index (an index a floor leaves out is 0 there)."""
-    out = None
-    for f in floors:
-        out = dict(f) if out is None else {d: min(v, f[d]) for d, v in out.items() if d in f}
-    return out or {}
 
 
 class FactoredFraction:
@@ -709,13 +699,12 @@ class FactoredFraction:
     multiplicity (an index it leaves out has bound 0).  It is trusted,
     never checked, so only ``qsum`` sets it, through ``_with_floor``; a
     fraction built by the constructor has none.  ``qsum`` takes it from its
-    terms: a term
-    sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
-    sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
-    when d | a; and the valuation of a sum is at least the least
-    valuation of its terms.  Such a floor never falls from d to a multiple
-    of d, so the numerator holds at least the floor at m of whole
-    q**m - 1 factors (``binomial_floor``), and the count starts there.
+    terms: a term sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
+    sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once when
+    d | a; and the valuation of a sum is at least the least valuation of its
+    terms.  Such a floor never falls from d to a multiple of d, so the
+    numerator holds at least the floor at m of whole q**m - 1 factors
+    (``binomial_floor``), and the count starts there.
 
     ``qsum`` is the one place that puts terms over a common factored
     denominator; a fraction has no arithmetic of its own.  ``to_ratfunc``
@@ -758,8 +747,8 @@ class FactoredFraction:
         numerator: the floor at m.  q**m - 1 is the product of the Phi_d,
         d | m, each once, so the bound is the least floor over d | m.  Every
         (q**a - 1) that Phi_m divides is also divided by each Phi_d, d | m,
-        so each term's Phi_d count is at least its Phi_m count, and
-        ``_least_floor`` keeps that order: the least is the floor at m."""
+        so each term's Phi_d count is at least its Phi_m count, and the
+        least of them over the terms keeps that order: it is the floor at m."""
         return self._floor.get(m, 0)
 
     def valuation(self, m: int) -> Valuation:
@@ -779,8 +768,8 @@ class FactoredFraction:
             return RATFUNC_ZERO
         shared = {}
         for c, e in _phi_exponents(self.factors).items():
-            shared[c] = e if self._floor.get(c, 0) >= e else min(
-                e, _poly_phi_valuation(self.num, c, self.binomial_floor(c)))
+            floor = self.binomial_floor(c)
+            shared[c] = e if floor >= e else min(e, _poly_phi_valuation(self.num, c, floor))
         k = _binomial_exponents(shared)
         num = Poly(_binomial_steps(self.num.coeffs, {d: -v for d, v in k.items()}))
         den = Poly(_binomial_steps([1], {d: self.factors.get(d, 0) - k.get(d, 0)

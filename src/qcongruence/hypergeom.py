@@ -198,11 +198,13 @@ def _ratio_walk(start: QProduct, ratio: Sequence[tuple[int, int]], base: int,
 # the truncated sums
 
 
-def _check_sum_shape(d: int, r: int) -> None:
+def _check_sum_shape(d: int, r: int) -> list[str]:
+    """The rules of a truncated sum's shape that (d, r) break."""
     if d < 1:
-        raise ValueError("d must be a positive integer")
+        return ["d must be a positive integer"]
     if (d * (d - r - 2)) % 2:
-        raise ValueError("d(d - r - 2) must be even for an integral q-power")
+        return ["d(d - r - 2) must be even for an integral q-power"]
+    return []
 
 
 def theorem_term(case: TheoremCase, k: int) -> RatFunc:
@@ -214,7 +216,9 @@ def theorem_term(case: TheoremCase, k: int) -> RatFunc:
 
 def truncated_terms(d: int, r: int, upper: int) -> list[QProduct]:
     """The summands of ``truncated_sum(d, r, upper)``, k = 0..upper."""
-    _check_sum_shape(d, r)
+    bad = _check_sum_shape(d, r)
+    if bad:
+        raise InvalidCase(bad)
     if upper < 0:
         raise ValueError("upper bound must be non-negative")
     walk = _ratio_walk(QProduct(), [(r, d), (d, -d)], d, d * (d - r - 2) // 2, upper)

@@ -28,6 +28,8 @@ numerator coefficient reaches 2**(B - 1); nothing sets it.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 # fractions is imported only inside the functions that build a Fraction; no
@@ -37,7 +39,6 @@ from .exactalg import (
     FactoredFraction,
     Poly,
     RatFunc,
-    _least_floor,
     _mul_packed,
     _phi_exponents,
     _slot_bits,
@@ -176,61 +177,60 @@ class QProduct:
         return f"QProduct({'-' if self.sign < 0 else ''}q^{self.qexp} {body})"
 
 
+def _meet(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """The elementwise minimum of two positive exponent maps, on their shared keys."""
+    return {a: min(m, y[a]) for a, m in x.items() if a in y}
+
+
+def _less(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """x - y on the keys of x, without its zero entries."""
+    return {a: d for a, m in x.items() if (d := m - y.get(a, 0))}
+
+
 def _nest(products: Iterable[QProduct]) -> tuple:
     """The nesting schedule of a sum of QProduct terms, as exponent maps:
-    (den, qden, rows, steps, final).  Zero terms are dropped.
+    (den, qden, rows, steps, final); zero terms and zero entries are dropped.
 
     All terms are placed over the least common factored denominator
     P(den) * q**qden, so row k is (sign, shift, e_k): term k contributes
     sign * q**shift * P(e_k), P(e) = prod (q**a - 1)**e[a].  The sum is
-    nested from the last term.  With C_k the elementwise minimum of e_i over
-    the tail i >= k, U holds the tail's sum divided by P(C_k); a step to k
-    multiplies U by P(C_(k+1) - C_k) and adds P(w_k), w_k = e_k - C_k.  The
-    cofactor is carried as P(b_k), b_k the elementwise minimum of w_i over
-    the prefix i <= k (a factor missing from some w_i counts as 0).  As
-    b_(k+1) <= b_k <= w_k, the carried P(b_k) only gains binomials on the
-    way to the first term, and term k is P(b_k) * P(w_k - b_k): nothing is
-    divided out, and a hypergeometric series costs about one binomial per
-    factor of its term ratio.
+    nested from the last term.  With C_k the elementwise minimum (``_meet``)
+    of e_i over the tail i >= k, U holds the tail's sum divided by P(C_k); a
+    step to k multiplies U by P(C_(k+1) - C_k) and adds P(w_k), w_k = e_k -
+    C_k.  The cofactor is carried as P(b_k), b_k the elementwise minimum of
+    w_i over the prefix i <= k.  As b_(k+1) <= b_k <= w_k, the carried
+    P(b_k) only gains binomials on the way to the first term, and term k is
+    P(b_k) * P(w_k - b_k): nothing is divided out, and a hypergeometric
+    series costs about one binomial per factor of its term ratio.
 
-    ``steps`` has one entry per row, the last term first: [sign, shift,
-    C_(k+1) - C_k, b_k - b_(k+1), w_k - b_k], with C_n = b_n = {}; every map
-    is non-negative.  The sum is P(final) * U after the first term's step,
-    final = C_0.  Any ring that holds P(e) can run the steps.
+    ``steps`` has one entry per row, the last term first: (sign, shift,
+    C_(k+1) - C_k, b_k - b_(k+1), w_k - b_k), with C_n = b_n = {}; every map
+    is positive (``_less``).  The sum is P(final) * U after the first term's
+    step, final = C_0.  Any ring that holds P(e) can run the steps.
     """
     terms = [t for t in products if not t.is_zero]
     den: dict[int, int] = {}
-    min_qexp = 0
     for t in terms:
         for a, m in t.factors.items():
             if m < 0 and -m > den.get(a, 0):
                 den[a] = -m
-        if t.qexp < min_qexp:
-            min_qexp = t.qexp
-    qden = -min_qexp
+    qden = -min([0, *(t.qexp for t in terms)])
 
     rows = []
     for t in terms:
         exps = dict(den)
         for a, m in t.factors.items():
             exps[a] = exps.get(a, 0) + m
-        rows.append((t.sign, t.qexp + qden, exps))
+        rows.append((t.sign, t.qexp + qden, {a: m for a, m in exps.items() if m}))
 
-    commons: list[dict[int, int]] = []    # C_k, last term first
-    for *_, exps in reversed(rows):
-        common = commons[-1] if commons else exps
-        commons.append({a: min(m, common[a]) for a, m in exps.items() if m and common.get(a)})
-    commons.reverse()
-    steps, b = [], None
-    for (sign, shift, exps), common, outer in zip(rows, commons, commons[1:] + [{}]):
-        w = {a: m - common.get(a, 0) for a, m in exps.items() if m > common.get(a, 0)}
-        b = w if b is None else {a: min(m, b[a]) for a, m in w.items() if a in b}
-        if steps:    # the slot held b_(k-1); b_(k-1) - b_k is emitted one step late
-            steps[-1][3] = {a: m - b.get(a, 0) for a, m in steps[-1][3].items()}
-        steps.append([sign, shift, {a: m - common.get(a, 0) for a, m in outer.items()},
-                      b, {a: m - b.get(a, 0) for a, m in w.items()}])
+    commons = [*accumulate(reversed([e for *_, e in rows]), _meet)][::-1] + [{}]  # C_k
+    owns = [_less(e, common) for (*_, e), common in zip(rows, commons)]          # w_k
+    bases = [*accumulate(owns, _meet), {}]                                       # b_k
+    steps = [(sign, shift, _less(outer, common), _less(b, inner), _less(w, b))
+             for (sign, shift, _), common, outer, w, b, inner
+             in zip(rows, commons, commons[1:], owns, bases, bases[1:])]
     steps.reverse()
-    return den, qden, rows, steps, commons[0] if commons else {}
+    return den, qden, rows, steps, commons[0]
 
 
 def qsum(products: Iterable[QProduct]) -> FactoredFraction:
@@ -257,7 +257,7 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
         term = _mul_packed(base, own, B) << shift * B
         acc = acc + term if sign > 0 else acc - term
     acc = _mul_packed(acc, final, B)
-    floor = _least_floor(_phi_exponents(exps) for *_, exps in rows)
+    floor = reduce(_meet, (_phi_exponents(e) for *_, e in rows)) if rows else {}
     return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den, qden, floor)
 
 

@@ -926,6 +926,32 @@ def test_parallel_sweep_without_fork_is_a_usage_error(monkeypatch, capsys):
     assert cli.main([*TINY_SWEEP, "--jobs", "1"]) == 1
 
 
+def test_failed_fork_is_a_named_error(monkeypatch, capsys):
+    # the second fork fails: the first worker (past PID_MAX_LIMIT, so no
+    # process has its pid; kill and waitpid only record it) is killed and
+    # reaped, and main names the fork
+    import errno
+    from qcongruence import cli
+
+    NO_PID = 2**22 + 1
+    calls = []
+
+    def fork():
+        if calls:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        calls.append(("fork", NO_PID))
+        return NO_PID
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: calls.append(("kill", pid, sig)))
+    monkeypatch.setattr(os, "waitpid", lambda pid, flags: calls.append(("wait", pid)) or (pid, 0))
+    assert cli.main([*TINY_SWEEP, "--jobs", "2"]) == 2
+    assert calls == [("fork", NO_PID), ("kill", NO_PID, signal.SIGKILL), ("wait", NO_PID)]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "cannot fork sweep worker 2 of 2" in err[0]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_nonpositive_jobs_is_usage_error(jobs):
     proc = run_cli(*TINY_SWEEP, "--jobs", jobs)

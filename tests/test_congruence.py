@@ -590,8 +590,8 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
                         (exactalg, "_binomial_count"), (exactalg, "_divide_out"),
                         (exactalg.Poly, "_divmod"), (exactalg.Poly, "div_exact"),
                         (exactalg, "_peel"), (exactalg, "_phi_exponents"),
-                        (exactalg, "_least_floor"), (qobjects, "_phi_exponents"),
-                        (qobjects, "_least_floor"), (exactalg, "_mul_packed"),
+                        (qobjects, "_meet"), (qobjects, "_phi_exponents"),
+                        (qobjects, "_less"), (exactalg, "_mul_packed"),
                         (exactalg, "_unpack"), (qobjects, "_mul_packed"),
                         (exactalg.FactoredFraction, "to_ratfunc"), (exactalg, "poly_gcd")]:
         monkeypatch.setattr(owner, name, forbidden)

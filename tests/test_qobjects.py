@@ -310,30 +310,29 @@ def add_maps(x, y):
 @example([(1, 0, {3: 2, 1: 1}, False), (1, 2, {1: 2}, False),
           (-1, 0, {3: 1, 1: 1}, False), (1, 1, {1: 1}, False)], [])
 def test_nest_steps_rebuild_each_row(raw, zeros):
-    # the schedule alone, on exponent maps: every map it multiplies by is
-    # non-negative (nothing is divided), and term k's share of the sum, the
-    # final map times the tail maps of the steps after it, the cofactor
-    # maps up to it and its own map, is its row e_k
+    # the schedule alone, on exponent maps: each row and each map it
+    # multiplies by holds positive entries only (nothing is divided, and no
+    # entry is an empty step), and term k's share of the sum, the final map
+    # times the tail maps of the steps after it, the cofactor maps up to it
+    # and its own map, is its row e_k
     terms = build_terms(raw)
     for i in zeros:
         terms.insert(min(i, len(terms)), QProduct().mul_one_minus_q(0))
     den, qden, rows, steps, final = _nest(terms)
     live = [t for t in terms if not t.is_zero]
     assert qden == -min([0] + [t.qexp for t in live])
-    assert [(sign, shift, nonzero(e)) for sign, shift, e in rows] == [
-        (t.sign, t.qexp + qden, add_maps(den, t.factors)) for t in live]
+    assert rows == [(t.sign, t.qexp + qden, add_maps(den, t.factors)) for t in live]
     assert len(steps) == len(rows)
     carried, shares = {}, []
     for sign, shift, tail, cofactor, own in steps:
-        assert min([0, *tail.values(), *cofactor.values(), *own.values()]) == 0
+        assert min([1, *tail.values(), *cofactor.values(), *own.values()]) == 1
         shares = [add_maps(share, tail) for share in shares]
         carried = add_maps(carried, cofactor)
         shares.append(add_maps(carried, own))
-    assert min([0, *final.values()]) == 0
+    assert min([1, *final.values()]) == 1
     assert [(sign, shift) for sign, shift, *_ in reversed(steps)] == [
         (sign, shift) for sign, shift, _ in rows]
-    assert [add_maps(share, final) for share in reversed(shares)] == [
-        nonzero(e) for *_, e in rows]
+    assert [add_maps(share, final) for share in reversed(shares)] == [e for *_, e in rows]
 
 
 def test_qsum_coefficients_past_64_bits():
