@@ -73,8 +73,8 @@ _M_DEFAULT = 2
 VERIFY_KINDS = {
     "thm1": (("r", "n"), ("d", "trunc", "power", "oracle")),
     "thm2": (("r", "n"), ("d", "trunc", "power", "oracle")),
-    "conj1": (("n",), ("d", "r", "trunc", "oracle")),
-    "conj2": (("n",), ("d", "r", "trunc", "oracle")),
+    "conj1": (("n",), ("d", "trunc", "oracle")),
+    "conj2": (("n",), ("d", "trunc", "oracle")),
     "conj3": (("r", "n"), ("d", "trunc", "oracle")),
     "lemma3": (("r", "n"), ("d", "trunc", "oracle")),
     "lemma4": (("r", "n"), ("d",)),
@@ -160,7 +160,7 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
         case = TheoremCase(args.d, args.r, args.n, Variant(kind), trunc)
         return _check_case(kind, case, args.oracle, args.power), _case_fields(case)
     if kind in ("conj1", "conj2", "conj3"):
-        r = args.r if args.r is not None else CONJECTURE_R[Conjecture(kind)]
+        r = CONJECTURE_R.get(Conjecture(kind), args.r)
         first = kind != "conj3" and args.d >= 1 and args.n % args.d == (-r) % args.d
         case = TheoremCase(args.d, r, args.n, Variant.THM1 if first else Variant.THM2, trunc)
         return _check_case(kind, case, args.oracle), _case_fields(case)

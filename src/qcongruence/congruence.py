@@ -29,7 +29,6 @@ from .exactalg import (
     ValuationReport,
     Valuation,
     _is_prime,
-    cyclotomic,
     divisors,
     phi_valuation,
     rational_p_valuation,
@@ -305,11 +304,12 @@ def enumerate_cases(
     """Every (d, r, n) with 0 <= d <= d_max, r in the inclusive range and
     0 <= n <= n_max that ``_case_violations`` finds nothing wrong with,
     both truncations each, ordered by (d, r, n, truncation): exactly the
-    cases of the grid that ``TheoremCase`` accepts."""
+    cases of the grid that ``TheoremCase`` accepts.  An r outside [d - 2 n_max,
+    d - 4] breaks r <= d - 4 or 2n >= d - r (implied by n >= d - r): not tried."""
     r_min, r_max = r_range
     return [TheoremCase(d, r, n, variant, trunc)
             for d in range(d_max + 1)
-            for r in range(r_min, r_max + 1)
+            for r in range(max(r_min, d - 2 * n_max), min(r_max, d - 4) + 1)
             for n in range(n_max + 1)
             if not _case_violations(d, r, n, variant)
             for trunc in (Truncation.UPPER, Truncation.FULL)]

@@ -116,12 +116,7 @@ class QProduct:
                 raise VanishingDenominator(f"vanishing denominator: (1 - q^0)^{power}")
             self.is_zero = True
             return self
-        a = abs(e)
-        m = self.factors.get(a, 0) + power
-        if m:
-            self.factors[a] = m
-        else:
-            del self.factors[a]
+        _add(self.factors, abs(e), power)
         if e > 0:
             if power % 2:
                 self.sign = -self.sign
@@ -145,11 +140,7 @@ class QProduct:
         self.sign *= other.sign
         self.qexp += other.qexp
         for a, m in other.factors.items():
-            new = self.factors.get(a, 0) + m
-            if new:
-                self.factors[a] = new
-            else:
-                del self.factors[a]
+            _add(self.factors, a, m)
         self.is_zero = self.is_zero or other.is_zero
         return self
 
@@ -175,6 +166,14 @@ class QProduct:
             return "QProduct(0)"
         body = " * ".join(f"(q^{a} - 1)^{m}" for a, m in sorted(self.factors.items()))
         return f"QProduct({'-' if self.sign < 0 else ''}q^{self.qexp} {body})"
+
+
+def _add(x: dict[int, int], a: int, m: int) -> None:
+    """x[a] += m in place; an entry that reaches 0 is deleted."""
+    if m := m + x.get(a, 0):
+        x[a] = m
+    else:
+        x.pop(a, None)
 
 
 def _meet(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
@@ -220,8 +219,8 @@ def _nest(products: Iterable[QProduct]) -> tuple:
     for t in terms:
         exps = dict(den)
         for a, m in t.factors.items():
-            exps[a] = exps.get(a, 0) + m
-        rows.append((t.sign, t.qexp + qden, {a: m for a, m in exps.items() if m}))
+            _add(exps, a, m)
+        rows.append((t.sign, t.qexp + qden, exps))
 
     commons = [*accumulate(reversed([e for *_, e in rows]), _meet)][::-1] + [{}]  # C_k
     owns = [_less(e, common) for (*_, e), common in zip(rows, commons)]          # w_k

@@ -351,6 +351,26 @@ def test_enumerate_thm1_matches_congruence_solution():
     assert cases == sorted(cases, key=lambda c: (c.d, c.r, c.n, c.truncation.value == "full"))
 
 
+@pytest.mark.parametrize("r_range", [(-40, 40), (-13, -13), (-12, 1), (-40, -14), (2, 40)])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_enumerate_cases_equals_filtering_the_whole_box(variant, r_range):
+    # enumerate_cases tries only the r that the hypotheses allow; filtering
+    # every (d, r, n) of the box must give the same list.  (5, -13, 9) is
+    # thm2's case at the lower bound r = d - 2 n_max, (5, 1, 4) thm1's at
+    # the upper bound r = d - 4
+    d_max, n_max = 9, 9
+    brute = [TheoremCase(d, r, n, variant, trunc)
+             for d in range(d_max + 1)
+             for r in range(r_range[0], r_range[1] + 1)
+             for n in range(n_max + 1)
+             if not hypergeom._case_violations(d, r, n, variant)
+             for trunc in (Truncation.UPPER, Truncation.FULL)]
+    assert enumerate_cases(variant, d_max, n_max, r_range) == brute
+    if r_range == (-40, 40):
+        edge = (5, -13, 9) if variant is Variant.THM2 else (5, 1, 4)
+        assert edge in {c[:3] for c in brute}
+
+
 def test_enumerate_empty_below_smallest_n():
     assert enumerate_cases(Variant.THM1, 5, 3, (1, 1)) == []
 
@@ -586,7 +606,7 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
     for owner, name in [(qobjects, "qsum"), (qobjects, "_nest"), (hypergeom, "qsum"),
                         (congruence, "qsum"),
                         (exactalg.Poly, "divmod_monic"), (exactalg, "_poly_phi_valuation"),
-                        (exactalg, "cyclotomic"), (congruence, "cyclotomic"),
+                        (exactalg, "cyclotomic"), (qobjects, "_add"),
                         (exactalg, "_binomial_count"), (exactalg, "_divide_out"),
                         (exactalg.Poly, "_divmod"), (exactalg.Poly, "div_exact"),
                         (exactalg, "_peel"), (exactalg, "_phi_exponents"),
