@@ -172,7 +172,7 @@ def _verify_report(args) -> tuple[CheckReport, dict]:
         # no modulus to meet: the verdict is the progression test's
         report = CheckReport(
             f"lemma4(d={args.d}, r={args.r}, n={args.n})", Modulus({}),
-            ValuationReport({}, {}, ok), CheckStatus.PASS if ok else CheckStatus.FAIL,
+            ValuationReport({}), CheckStatus.PASS if ok else CheckStatus.FAIL,
             _solved_index(args.d, args.r, args.n))
         return report, {"d": args.d, "r": args.r, "n": args.n}
     if kind == "modsquare":

@@ -123,9 +123,9 @@ class CheckReport(namedtuple("CheckReport", "description modulus valuations stat
     was achieved and no error occurred.
 
     Fields: description, modulus (a Modulus), valuations (a
-    ValuationReport), status (a CheckStatus), term_count, detail (a
-    message, or None) and oracle_status (a CheckStatus, or None when the
-    oracle did not run)."""
+    ValuationReport, which holds the ``achieved`` valuations), status (a
+    CheckStatus), term_count, detail (a message, or None) and
+    oracle_status (a CheckStatus, or None when the oracle did not run)."""
 
     __slots__ = ()
 
@@ -133,9 +133,9 @@ class CheckReport(namedtuple("CheckReport", "description modulus valuations stat
     def verdict(cls, description: str, modulus: Modulus,
                 achieved: dict[int, Valuation], term_count: int) -> "CheckReport":
         """PASS or FAIL as the achieved valuations meet the modulus or not."""
-        valuations = ValuationReport.compare(achieved, modulus.parts)
-        status = CheckStatus.PASS if valuations.passed else CheckStatus.FAIL
-        return cls(description, modulus, valuations, status, term_count)
+        ok = all(achieved[m] >= need for m, need in modulus.parts.items())
+        return cls(description, modulus, ValuationReport(achieved),
+                   CheckStatus.PASS if ok else CheckStatus.FAIL, term_count)
 
 
 def check_congruence(

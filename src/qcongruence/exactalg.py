@@ -11,10 +11,11 @@ Conventions used everywhere in this package:
   denominator is non-zero with positive leading coefficient, and zero is
   represented as 0/1.
 * ``FactoredFraction`` is a sum as the summation kernel leaves it: an
-  expanded numerator over q**qshift * prod (q**a - 1)**mult.  ``qsum``
-  alone gives it a floor for each Phi_d, which the numerator's terms
-  prove: Phi_d divides q**a - 1 exactly once when d | a, and the valuation
-  of a sum is at least the least valuation of its terms.  Cyclotomic
+  expanded numerator over q**qshift * prod (q**a - 1)**mult, with a floor
+  for each Phi_d, which its one constructor takes and ``qsum``, the one
+  caller, proves from the numerator's terms: Phi_d divides q**a - 1
+  exactly once when d | a, and the valuation of a sum is at least the
+  least valuation of its terms.  Cyclotomic
   valuations are read off it without reducing: whole q**m - 1 factors are
   counted first, from the numerator's Taylor coefficients at q**m = 1,
   starting at the floor (the least floor over d | m).  ``==`` and
@@ -695,16 +696,21 @@ class FactoredFraction:
     mult over the a that m divides; the valuation at m needs only the
     numerator's, which ``_poly_phi_valuation`` counts.
 
-    ``_floor`` maps d to a proven lower bound on the numerator's Phi_d
+    ``floor`` maps d to a proven lower bound on the numerator's Phi_d
     multiplicity (an index it leaves out has bound 0).  It is trusted,
-    never checked, so only ``qsum`` sets it, through ``_with_floor``; a
-    fraction built by the constructor has none.  ``qsum`` takes it from its
-    terms: a term sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
-    sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once when
-    d | a; and the valuation of a sum is at least the least valuation of its
-    terms.  Such a floor never falls from d to a multiple of d, so the
-    numerator holds at least the floor at m of whole q**m - 1 factors
-    (``binomial_floor``), and the count starts there.
+    never checked, so ``qsum`` is the one caller of the constructor in
+    the package.  ``qsum`` takes it from its terms: a term
+    sign * q**s * prod (q**a - 1)**e[a] holds Phi_d exactly
+    sum_{d | a} e[a] times, because Phi_d divides q**a - 1 exactly once
+    when d | a; and the valuation of a sum is at least the least valuation
+    of its terms.  The floor at m also bounds the numerator's count of
+    whole q**m - 1 factors, where that count starts.  q**m - 1 is the
+    product of the Phi_d, d | m, each once, so the least floor over d | m
+    bounds the count.  Every (q**a - 1) that Phi_m divides is also divided
+    by each Phi_d, d | m, so each term's Phi_d count is at least its Phi_m
+    count, and the least of them over the terms keeps that order: the
+    floor never falls from d to a multiple of d, and the least floor over
+    d | m is the floor at m.
 
     ``qsum`` is the one place that puts terms over a common factored
     denominator; a fraction has no arithmetic of its own.  ``to_ratfunc``
@@ -715,21 +721,12 @@ class FactoredFraction:
 
     __slots__ = ("num", "factors", "qshift", "_floor")
 
-    def __init__(self, num: Poly, factors: dict[int, int], qshift: int):
+    def __init__(self, num: Poly, factors: dict[int, int], qshift: int,
+                 floor: dict[int, int]):
         self.num = num
         self.factors = factors
         self.qshift = qshift
-        self._floor: dict[int, int] = {}
-
-    @classmethod
-    def _with_floor(cls, num: Poly, factors: dict[int, int], qshift: int,
-                    floor: dict[int, int]) -> "FactoredFraction":
-        """The fraction with the floor that ``qsum`` has proven from its
-        terms, which never falls from d to a multiple of d; nothing else
-        sets one."""
-        value = cls(num, factors, qshift)
-        value._floor = floor
-        return value
+        self._floor = floor
 
     @property
     def is_zero(self) -> bool:
@@ -742,20 +739,11 @@ class FactoredFraction:
         """Exponent of Phi_m in the (unreduced) denominator."""
         return sum(mult for a, mult in self.factors.items() if a % m == 0)
 
-    def binomial_floor(self, m: int) -> int:
-        """A proven lower bound on the number of q**m - 1 factors in the
-        numerator: the floor at m.  q**m - 1 is the product of the Phi_d,
-        d | m, each once, so the bound is the least floor over d | m.  Every
-        (q**a - 1) that Phi_m divides is also divided by each Phi_d, d | m,
-        so each term's Phi_d count is at least its Phi_m count, and the
-        least of them over the terms keeps that order: it is the floor at m."""
-        return self._floor.get(m, 0)
-
     def valuation(self, m: int) -> Valuation:
         """Exponent of Phi_m in the value; INFINITE for zero."""
         if self.num.is_zero:
             return INFINITE
-        return (_poly_phi_valuation(self.num, m, self.binomial_floor(m))
+        return (_poly_phi_valuation(self.num, m, self._floor.get(m, 0))
                 - self.den_multiplicity(m))
 
     def to_ratfunc(self) -> RatFunc:
@@ -768,7 +756,7 @@ class FactoredFraction:
             return RATFUNC_ZERO
         shared = {}
         for c, e in _phi_exponents(self.factors).items():
-            floor = self.binomial_floor(c)
+            floor = self._floor.get(c, 0)
             shared[c] = e if floor >= e else min(e, _poly_phi_valuation(self.num, c, floor))
         k = _binomial_exponents(shared)
         num = Poly(_binomial_steps(self.num.coeffs, {d: -v for d, v in k.items()}))
@@ -845,16 +833,8 @@ def rational_p_valuation(x: Union[Fraction, int], p: int) -> Valuation:
     return vp(x.numerator) - vp(x.denominator)
 
 
-class ValuationReport(namedtuple("ValuationReport", "achieved required passed")):
-    """Achieved vs required cyclotomic valuations for one congruence check,
-    as two dicts keyed by cyclotomic index.
-
-    ``passed`` is true exactly when every required entry is met.
-    """
+class ValuationReport(namedtuple("ValuationReport", "achieved")):
+    """The achieved cyclotomic valuations of one congruence check, keyed by
+    cyclotomic index; what they must meet is the check's modulus."""
 
     __slots__ = ()
-
-    @classmethod
-    def compare(cls, achieved: dict[int, Valuation], required: dict[int, int]) -> "ValuationReport":
-        ok = all(achieved[m] >= need for m, need in required.items())
-        return cls(achieved=achieved, required=required, passed=ok)

@@ -257,7 +257,7 @@ def qsum(products: Iterable[QProduct]) -> FactoredFraction:
         acc = acc + term if sign > 0 else acc - term
     acc = _mul_packed(acc, final, B)
     floor = reduce(_meet, (_phi_exponents(e) for *_, e in rows)) if rows else {}
-    return FactoredFraction._with_floor(Poly(_unpack(acc, B)), den, qden, floor)
+    return FactoredFraction(Poly(_unpack(acc, B)), den, qden, floor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The benchmark's traced run stops when a layer it must cross sees no
-call.  These tests make the same calls with the benchmark's own tracer
-installed, so a change that removes a traced call fails here, in about a
-second, and not first in a traced benchmark run."""
+call, and counts a check whose report or record bytes differ from its
+stored output as failed.  These tests make the same calls with the
+benchmark's own tracer installed, and the same comparisons in process, so
+such a change fails here, in about a second, and not first in a
+benchmark run."""
 
 import importlib.util
 import os
 import sys
 
+import qcongruence
 from qcongruence import cli, congruence, exactalg, hypergeom
 from qcongruence.hypergeom import TheoremCase, Truncation, Variant
 
@@ -42,3 +45,14 @@ def test_identity_trials_cross_every_identity_layer():
             argv = workloads.id_argv(kind, m, workloads.ID_TINY_ORDER, 1)
             assert workloads.id_call(cli, argv)[0] == 0
     layertrace.require_calls(tracer.spans, workloads.IDENTITY_LAYERS)
+
+
+def test_benchmark_passes_count_no_failed_check():
+    # a cover of tiny theorem_grid passes and one tiny identity_fuzz pass,
+    # compared with the stored expected output as the benchmark compares them
+    grid = workloads.TheoremGrid(qcongruence, workloads.EXPECTED, "tiny")
+    fuzz = workloads.IdentityFuzz(qcongruence, workloads.EXPECTED, "tiny")
+    passes = [grid.run_pass(1, i) for i in range(workloads.TG_SLOT_SIZE)]
+    passes.append(fuzz.run_pass(1, 0))
+    for res in passes:
+        assert res.attempted > 0 and res.failed == 0, res.notes

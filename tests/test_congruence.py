@@ -613,6 +613,12 @@ def test_oracle_shares_no_code_with_the_engine(monkeypatch):
                         (qobjects, "_meet"), (qobjects, "_phi_exponents"),
                         (qobjects, "_less"), (exactalg, "_mul_packed"),
                         (exactalg, "_unpack"), (qobjects, "_mul_packed"),
-                        (exactalg.FactoredFraction, "to_ratfunc"), (exactalg, "poly_gcd")]:
+                        (exactalg.FactoredFraction, "to_ratfunc"), (exactalg, "poly_gcd"),
+                        (exactalg, "_binomial_steps"), (exactalg, "_binomial_exponents"),
+                        (exactalg, "_slot_bits"), (exactalg, "phi_valuation"),
+                        (exactalg.FactoredFraction, "valuation"),
+                        (congruence, "phi_valuation"), (congruence, "check_congruence"),
+                        (congruence, "theorem_sum"), (congruence, "truncated_sum"),
+                        (hypergeom, "truncated_sum")]:
         monkeypatch.setattr(owner, name, forbidden)
     assert [oracle_check(terms, mod) for terms, mod, _ in grid] == expected

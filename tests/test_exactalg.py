@@ -583,7 +583,7 @@ def factored_fractions(draw):
     for b, v in k.items():
         num = num * binomial(b) ** v
     floor = _phi_exponents(k) if draw(st.booleans()) else {}
-    return FactoredFraction._with_floor(num, factors, draw(st.integers(0, 3)), floor)
+    return FactoredFraction(num, factors, draw(st.integers(0, 3)), floor)
 
 
 def general_reduction(value):

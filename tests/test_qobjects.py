@@ -1,14 +1,17 @@
 """q-shifted factorials, factored products, and the summation kernel."""
 
+import ast
 import operator
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from qcongruence import exactalg
+from qcongruence import cli, exactalg, qobjects
 from qcongruence.exactalg import ONE, Poly, RatFunc, _expand_factors, poly_gcd
 from qcongruence.exactalg import INFINITE, phi_valuation
 from qcongruence.exactalg import _binomial_count, _poly_phi_valuation, divisors
@@ -423,7 +426,7 @@ def test_qsum_floor_is_a_lower_bound_and_counts_from_it_match(case):
     assert_true_floor(value)
     cs = value.num.coeffs
     for m in range(1, 13):
-        assert _binomial_count(cs, m, value.binomial_floor(m)) == _binomial_count(cs, m, 0)
+        assert _binomial_count(cs, m, value._floor.get(m, 0)) == _binomial_count(cs, m, 0)
 
 
 @given(st.sampled_from([-1, 1]), st.integers(-4, 4),
@@ -445,7 +448,7 @@ def test_theorem_counts_from_the_floor_match_counts_from_zero():
         for case in enumerate_cases(variant, 7, 14, (-7, 7)):
             value = theorem_sum(case)
             for m in range(1, 2 * case.n + 1):
-                floor = value.binomial_floor(m)
+                floor = value._floor.get(m, 0)
                 if floor:
                     got = _binomial_count(value.num.coeffs, m, floor)
                     assert got == _binomial_count(value.num.coeffs, m, 0), (case, m)
@@ -463,7 +466,7 @@ IDENTITY_SUMS = [
 
 
 def test_floor_never_falls_from_a_divisor_to_a_multiple():
-    # binomial_floor(m) reads the floor at m alone, which is the least
+    # valuation(m) starts its count at the floor at m alone, which is the least
     # floor over the divisors of m only while no divisor's floor is below it
     sums = [theorem_sum(case) for variant in Variant
             for case in enumerate_cases(variant, 7, 20, (-7, 7))]
@@ -483,8 +486,48 @@ def test_count_from_a_floor_finishes_by_division():
     # but Phi_2 divides once more
     terms = [QProduct().mul_one_minus_q(2, 8), QProduct().mul_one_minus_q(2, 8).mul_qpow(1)]
     value = qsum(terms)
-    assert value.binomial_floor(2) == 8
+    assert value._floor.get(2, 0) == 8
     assert _binomial_count(value.num.coeffs, 2, 8)[0] == 8
     with mock.patch.object(exactalg, "_divide_out", wraps=exactalg._divide_out) as spy:
         assert value.valuation(2) == 9
     assert spy.called
+
+
+# a tiny sweep, one identity trial of each kind, modsquare and lemma3
+FRACTION_RUNS = [
+    ["sweep", "--theorem", "thm1", "--d-max", "5", "--n-max", "9", "--jobs", "1"],
+    *(["identity", kind, "--m", "2", "--N", "2", "--trials", "1", "--seed", "1"]
+      for kind in ("andrews", "watson", "gasper-km", "multi-km")),
+    ["verify", "modsquare", "--r", "-1", "--n", "9", "--alpha", "2"],
+    ["verify", "lemma3", "--r", "1", "--n", "4"],
+]
+
+
+def test_every_fraction_the_package_builds_comes_from_qsum(monkeypatch):
+    # the floor is trusted, never checked, so qsum, which proves it from its
+    # terms, must be the one place that builds a FactoredFraction: the one
+    # call in the source, and the caller of every construction a run makes
+    def builds(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "FactoredFraction" in (getattr(node.func, "id", None),
+                                           getattr(node.func, "attr", None))]
+
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(qobjects.__file__).parent.glob("*.py")}
+    qsum_def = next(node for node in trees["qobjects"].body
+                    if isinstance(node, ast.FunctionDef) and node.name == "qsum")
+    assert [stem for stem, tree in trees.items() for _ in builds(tree)] == ["qobjects"]
+    assert len(builds(qsum_def)) == 1
+
+    real, callers = exactalg.FactoredFraction.__init__, []
+
+    def init(self, *args):
+        callers.append(sys._getframe(1).f_code)
+        real(self, *args)
+
+    monkeypatch.setattr(exactalg.FactoredFraction, "__init__", init)
+    for argv in FRACTION_RUNS:
+        built = len(callers)
+        assert cli.main(argv) in (cli.EXIT_PASS, cli.EXIT_FAIL), argv
+        assert len(callers) > built, argv
+    assert set(callers) == {qsum.__code__}
